@@ -17,6 +17,9 @@
 //!   where an object escapes if *anything it recursively refers to*
 //!   escapes (Figures 10/11); non-escaping argument and return graphs can
 //!   be recycled between RMIs (§3.3).
+//! * **Upcall verdict** ([`upcall`]): may a remote method's handler run
+//!   on the receiver's drain thread, i.e. does nothing reachable from it
+//!   block on another message (the Manta upcall model, DESIGN §17)?
 //! * **Shape extraction** ([`shape`]): per-call-site static shapes of the
 //!   argument/return object graphs, the input to call-site-specific
 //!   marshaler generation in `corm-codegen` (§3.1).
@@ -28,9 +31,11 @@ pub mod points_to;
 pub mod provenance;
 pub mod shape;
 pub mod summary;
+pub mod upcall;
 
 pub use graph::{HeapGraph, HeapNode, NodeId, NodeSet};
 pub use points_to::{analyze_points_to, PointsTo};
 pub use provenance::{Decision, SiteProvenance};
 pub use shape::Shape;
 pub use summary::{analyze_module, AnalysisOptions, AnalysisResult, RemoteSiteInfo};
+pub use upcall::UpcallAnalysis;

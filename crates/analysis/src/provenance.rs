@@ -24,12 +24,13 @@ use std::fmt;
 pub struct Decision {
     /// Which aspect of the site this decides: `args.cycle`, `ret.cycle`,
     /// `arg1.reuse` … `argN.reuse` (1-based, matching the analysis
-    /// report), or `ret.reuse`.
+    /// report), `ret.reuse`, or `dispatch`.
     pub aspect: String,
     /// The claim. Fact level: `may_cycle` / `acyclic` / `reusable` /
-    /// `not_reusable`. Applied level (in a corm-codegen `MarshalPlan`):
-    /// `cycle_table_kept` / `cycle_table_elided` / `reuse_enabled` /
-    /// `reuse_disabled`.
+    /// `not_reusable` / `non_blocking` / `may_block`. Applied level (in
+    /// a corm-codegen `MarshalPlan`): `cycle_table_kept` /
+    /// `cycle_table_elided` / `reuse_enabled` / `reuse_disabled` /
+    /// `upcall` / `worker` / `own_thread`.
     pub verdict: &'static str,
     /// The rule that fired (e.g. `revisit`, `nonfresh-element-store`,
     /// `escapes-static-store`, `no-escape`, `config-conservative`).

@@ -12,6 +12,7 @@ use crate::escape::{escaping_nodes, explain_reuse, is_reusable};
 use crate::points_to::{analyze_points_to, PointsTo};
 use crate::provenance::{Decision, SiteProvenance};
 use crate::shape::{shape_of, Shape};
+use crate::upcall::UpcallAnalysis;
 
 /// Analysis configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,9 +42,12 @@ pub struct RemoteSiteInfo {
     /// The caller discards the result — reply degrades to a bare ack.
     pub ret_ignored: bool,
     pub is_spawn: bool,
+    /// Nothing reachable from the callee blocks (see [`crate::upcall`]):
+    /// the receiver may run the request as an upcall on its drain thread.
+    pub upcall_safe: bool,
     /// Fact-level provenance: one [`Decision`] per verdict above
-    /// (`args.cycle`, `ret.cycle`, `arg{i}.reuse`, `ret.reuse`), each with
-    /// the rule that fired and a concrete witness.
+    /// (`args.cycle`, `ret.cycle`, `arg{i}.reuse`, `ret.reuse`,
+    /// `dispatch`), each with the rule that fired and a concrete witness.
     pub provenance: SiteProvenance,
 }
 
@@ -72,6 +76,8 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
     let mut escaping_of = |f: FuncId, pt: &PointsTo| -> crate::graph::NodeSet {
         escape_cache.entry(f).or_insert_with(|| escaping_nodes(m, pt, f).escaping).clone()
     };
+
+    let upcalls = UpcallAnalysis::new(m);
 
     let mut sites = HashMap::new();
     for cs in m.remote_call_sites() {
@@ -205,6 +211,10 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
             }
         };
 
+        let dispatch = upcalls.decision(m, callee_f);
+        let upcall_safe = dispatch.verdict == "non_blocking";
+        provenance.decisions.push(dispatch);
+
         sites.insert(
             cs.id,
             RemoteSiteInfo {
@@ -219,6 +229,7 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
                 ret_reusable,
                 ret_ignored: cs.ret_ignored,
                 is_spawn: cs.is_spawn,
+                upcall_safe,
                 provenance,
             },
         );

@@ -109,6 +109,12 @@ pub struct MarshalPlan {
     /// Reply degrades to a bare ack (return value ignored by the caller).
     pub ret_ignored: bool,
     pub is_spawn: bool,
+    /// Two-way requests at this site run as upcalls on the receiving
+    /// machine's drain thread instead of hopping to its worker pool: the
+    /// analysis proved nothing reachable from the handler blocks.
+    /// Independent of the configuration; always false for spawns, which
+    /// keep their own thread.
+    pub upcall: bool,
     /// Static estimate of the marshaled argument payload size in bytes.
     /// Primes pooled marshal buffers so steady-state serialization never
     /// reallocates; a guess (arrays use a nominal element count), never a
@@ -363,6 +369,16 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
             });
         }
 
+        // Dispatch: the upcall verdict is a fact about the handler, so
+        // every configuration applies it as is — except for spawns.
+        let upcall = info.upcall_safe && !info.is_spawn;
+        let (verdict, (rule, witness)) = if info.is_spawn {
+            ("own_thread", ("one-way", "spawned calls run on a dedicated thread".into()))
+        } else {
+            (if upcall { "upcall" } else { "worker" }, analysis_decided("dispatch"))
+        };
+        provenance.decisions.push(Decision { aspect: "dispatch".into(), verdict, rule, witness });
+
         let args_wire_size_hint = args_size_hint(&args);
         let ret_wire_size_hint = ret.as_ref().map(node_size_hint).unwrap_or(0);
         sites.insert(
@@ -378,6 +394,7 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
                 ret_reuse,
                 ret_ignored: info.ret_ignored,
                 is_spawn: info.is_spawn,
+                upcall,
                 args_wire_size_hint,
                 ret_wire_size_hint,
                 provenance,

@@ -72,8 +72,16 @@ pub struct MachineMetrics {
     /// monotone growth is the pool-leak health signature).
     pub pool_outstanding: AtomicU64,
     /// Requests parked in this machine's serve queue: enqueued by the
-    /// drain loop, not yet picked up by a worker (a gauge).
+    /// drain loop, not yet picked up by a worker (a gauge). Upcalls never
+    /// enter the queue.
     pub serve_queue_depth: AtomicU64,
+    /// Requests the drain loop ran itself, as upcalls, instead of handing
+    /// them to the worker pool (DESIGN §17).
+    pub upcalls: AtomicU64,
+    /// Upcalls that passed their step budget (or, without audit, reached
+    /// a blocking operation) and handed the mailbox to a fresh drain
+    /// thread.
+    pub upcall_handoffs: AtomicU64,
     /// Reactor frames appended to this machine's append-buffers.
     /// Mirrors the reactor core's internal counter so the sampler and
     /// Prometheus exposition see it without reaching into corm-net.
@@ -195,6 +203,8 @@ impl MetricsRegistry {
             m.pool_resident_bytes.store(0, Ordering::Relaxed);
             m.pool_outstanding.store(0, Ordering::Relaxed);
             m.serve_queue_depth.store(0, Ordering::Relaxed);
+            m.upcalls.store(0, Ordering::Relaxed);
+            m.upcall_handoffs.store(0, Ordering::Relaxed);
             m.reactor_frames_enqueued.store(0, Ordering::Relaxed);
             m.reactor_flush_batches.store(0, Ordering::Relaxed);
             m.reactor_flush_size.store(0, Ordering::Relaxed);
@@ -237,6 +247,8 @@ impl MetricsRegistry {
             pool_resident_bytes: m.pool_resident_bytes.load(Ordering::Relaxed),
             pool_outstanding: m.pool_outstanding.load(Ordering::Relaxed),
             serve_queue_depth: m.serve_queue_depth.load(Ordering::Relaxed),
+            upcalls: m.upcalls.load(Ordering::Relaxed),
+            upcall_handoffs: m.upcall_handoffs.load(Ordering::Relaxed),
             reactor_frames_enqueued: m.reactor_frames_enqueued.load(Ordering::Relaxed),
             reactor_flush_batches: m.reactor_flush_batches.load(Ordering::Relaxed),
             reactor_flush_size: m.reactor_flush_size.load(Ordering::Relaxed),
@@ -293,6 +305,8 @@ pub struct MachineSnapshot {
     pub pool_resident_bytes: u64,
     pub pool_outstanding: u64,
     pub serve_queue_depth: u64,
+    pub upcalls: u64,
+    pub upcall_handoffs: u64,
     pub reactor_frames_enqueued: u64,
     pub reactor_flush_batches: u64,
     pub reactor_flush_size: u64,

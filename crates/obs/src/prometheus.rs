@@ -264,6 +264,21 @@ pub fn render_prometheus(m: &MetricsSnapshot) -> String {
         &per_machine_pool(&|ms| ms.in_flight),
     );
 
+    // Dispatch (DESIGN §17): requests run as upcalls on the drain thread
+    // and the upcalls that had to give the mailbox to a new drainer.
+    counter(
+        &mut out,
+        "corm_upcalls_total",
+        "Requests run as upcalls on the drain thread instead of the worker pool",
+        &per_machine_pool(&|ms| ms.upcalls),
+    );
+    counter(
+        &mut out,
+        "corm_upcall_handoffs_total",
+        "Upcalls that handed the mailbox to a fresh drain thread",
+        &per_machine_pool(&|ms| ms.upcall_handoffs),
+    );
+
     // Lossy-transport protocol counters and the VM's reply cache
     // (DESIGN §16): retransmissions land on the sender, suppressed
     // duplicates on the receiver; the reply cache deduplicates
@@ -549,6 +564,19 @@ mod tests {
         assert!(text.contains(r#"corm_reply_cache_hits_total{machine="1"} 2"#));
         assert!(text.contains("# TYPE corm_reply_cache_evictions_total counter"));
         assert!(text.contains(r#"corm_reply_cache_evictions_total{machine="1"} 1"#));
+    }
+
+    #[test]
+    fn upcall_series_are_exposed_per_machine() {
+        let reg = MetricsRegistry::new(2);
+        reg.machine(1).upcalls.fetch_add(5, std::sync::atomic::Ordering::Relaxed);
+        reg.machine(1).upcall_handoffs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let text = render_prometheus(&reg.snapshot());
+        assert!(text.contains("# TYPE corm_upcalls_total counter"));
+        assert!(text.contains(r#"corm_upcalls_total{machine="0"} 0"#));
+        assert!(text.contains(r#"corm_upcalls_total{machine="1"} 5"#));
+        assert!(text.contains("# TYPE corm_upcall_handoffs_total counter"));
+        assert!(text.contains(r#"corm_upcall_handoffs_total{machine="1"} 1"#));
     }
 
     #[test]

@@ -115,6 +115,9 @@ pub const FLAG_ONEWAY: u8 = 1 << 4;
 /// The request's marshal buffer came out of the sender-side pool
 /// (DESIGN §12) rather than a fresh allocation.
 pub const FLAG_POOL_HIT: u8 = 1 << 5;
+/// The request ran as an upcall on the receiver's drain thread instead
+/// of going through its worker pool (DESIGN §17). Set on `Handle` events.
+pub const FLAG_UPCALL: u8 = 1 << 6;
 
 /// Transport codes (corm-obs sits below corm-net, so the transport kind
 /// crosses as a byte).
@@ -362,7 +365,7 @@ pub fn render_flight_json(d: &FlightDump) -> String {
                  \"bytes\": {}, \"peer\": {}, \"transport\": \"{}\", \
                  \"args_cycle_table\": {}, \"ret_cycle_table\": {}, \
                  \"arg_reuse\": {}, \"ret_reuse\": {}, \"oneway\": {}, \
-                 \"pool_hit\": {}}}",
+                 \"pool_hit\": {}, \"upcall\": {}}}",
                 e.t_us,
                 e.kind.name(),
                 e.req,
@@ -376,6 +379,7 @@ pub fn render_flight_json(d: &FlightDump) -> String {
                 e.flags & FLAG_RET_REUSE != 0,
                 e.flags & FLAG_ONEWAY != 0,
                 e.flags & FLAG_POOL_HIT != 0,
+                e.flags & FLAG_UPCALL != 0,
             );
             let _ = writeln!(s, "{}", if ei + 1 < events.len() { "," } else { "" });
         }
@@ -590,5 +594,10 @@ mod tests {
         assert!(snap[0].1[0].flags & FLAG_POOL_HIT != 0);
         let dump = FlightDump { reason: "ok".into(), failing_reqs: vec![], machines: snap };
         assert!(render_flight_json(&dump).contains("\"pool_hit\": true"));
+        // ... and so does FLAG_UPCALL.
+        rec.record(0, FlightEvent { flags: FLAG_UPCALL, ..ev(6, FlightKind::Handle) });
+        let dump =
+            FlightDump { reason: "ok".into(), failing_reqs: vec![], machines: rec.snapshot() };
+        assert!(render_flight_json(&dump).contains("\"upcall\": true"));
     }
 }

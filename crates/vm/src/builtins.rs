@@ -32,6 +32,7 @@ pub fn call(
         }
         TimeMicros => Ok(Value::Long(interp.rt.start.elapsed().as_micros() as i64)),
         SleepMicros => {
+            interp.before_blocking("System.sleepMicros")?;
             let us = argv[0].as_long().max(0) as u64;
             MutexGuard::unlocked(guard, || {
                 std::thread::sleep(std::time::Duration::from_micros(us))
@@ -51,6 +52,7 @@ pub fn call(
         ClusterMachines => Ok(Value::Int(interp.rt.machines.len() as i32)),
         ClusterMy => Ok(Value::Int(interp.machine_id() as i32)),
         ClusterBarrier => {
+            interp.before_blocking("Cluster.barrier")?;
             // Exactly one thread per machine participates; release the
             // machine lock while parked.
             let rt = interp.rt.clone();
@@ -108,6 +110,7 @@ pub fn call(
             Ok(Value::Null)
         }
         QueuePut => {
+            interp.before_blocking("Queue.put")?;
             let q = queue_id(interp, guard, argv[0])?;
             let v = argv[1];
             let machine = interp.machine.clone();
@@ -122,6 +125,7 @@ pub fn call(
             }
         }
         QueueTake => {
+            interp.before_blocking("Queue.take")?;
             let q = queue_id(interp, guard, argv[0])?;
             let machine = interp.machine.clone();
             loop {

@@ -19,7 +19,7 @@ use crate::builtins;
 use crate::error::{VmError, VmResult};
 use crate::machine::{zero_value, MachineShared, MachineState};
 use crate::rmi;
-use crate::runtime::Runtime;
+use crate::runtime::{Runtime, Upcall, UPCALL_STEP_BUDGET};
 
 /// An activation record.
 pub struct Frame {
@@ -37,12 +37,15 @@ pub struct Interp {
     pub machine: Arc<MachineShared>,
     pub frames: Vec<Frame>,
     steps: u64,
+    /// Set while this thread runs a request as an upcall on its
+    /// machine's drain thread (DESIGN §17).
+    pub(crate) upcall: Option<Upcall>,
 }
 
 impl Interp {
     pub fn new(rt: Arc<Runtime>, machine: u16) -> Self {
         let machine = rt.machine(machine).clone();
-        Interp { rt, machine, frames: Vec::new(), steps: 0 }
+        Interp { rt, machine, frames: Vec::new(), steps: 0, upcall: None }
     }
 
     pub fn machine_id(&self) -> u16 {
@@ -57,8 +60,25 @@ impl Interp {
         guard.active_threads += 1;
         let result = self.call_in(&mut guard, func, args);
         guard.active_threads -= 1;
-        machine.cv.notify_all();
         result
+    }
+
+    /// Called before every operation that may block (remote call,
+    /// spawn, remote `new`, queue put/take, barrier, sleep). Outside an
+    /// upcall it does nothing. Inside one, the analysis claimed the
+    /// handler never gets here: under audit that claim fails with an
+    /// `analysis-audit` error naming the site's provenance; otherwise the
+    /// upcall hands the mailbox to a fresh drain thread first, so the
+    /// wait can never hold up the messages it waits for.
+    pub(crate) fn before_blocking(&mut self, op: &str) -> VmResult<()> {
+        let Some(up) = self.upcall.as_mut().filter(|u| u.drainer.is_some()) else {
+            return Ok(());
+        };
+        if self.rt.audit {
+            return Err(rmi::upcall_audit_error(&self.rt, up.site, op));
+        }
+        up.hand_off(&self.rt);
+        Ok(())
     }
 
     /// Invoke `func` while already holding the machine lock (nested calls
@@ -149,6 +169,13 @@ impl Interp {
                 // quantum trades interpreter overhead against lock-handoff
                 // latency for concurrent RMI handlers; 512 keeps a
                 // machine responsive while a local compute thread spins.
+                // An upcall past its step budget also gives up the
+                // mailbox here.
+                if self.steps >= UPCALL_STEP_BUDGET {
+                    if let Some(up) = self.upcall.as_mut() {
+                        up.hand_off(&self.rt);
+                    }
+                }
                 MutexGuard::unlocked(guard, std::thread::yield_now);
             }
 
@@ -257,6 +284,7 @@ impl Interp {
                         Value::Ref(obj)
                     }
                     _ if cls.is_remote => {
+                        self.before_blocking("remote new")?;
                         let target = match placement {
                             Some(p) => {
                                 let m = self.int_of(self.reg(*p))?;
@@ -348,6 +376,7 @@ impl Interp {
                         self.push_frame(f, argv, *dst)?;
                     }
                     CallTarget::Remote(mid) => {
+                        self.before_blocking("remote call")?;
                         let out = rmi::remote_call(
                             self,
                             guard,
@@ -364,6 +393,7 @@ impl Interp {
                 }
             }
             Instr::Spawn { target, args, site } => {
+                self.before_blocking("spawn")?;
                 let argv: Vec<Value> = args.iter().map(|r| self.reg(*r)).collect();
                 match target {
                     CallTarget::Remote(mid) => {

@@ -6,8 +6,10 @@
 //! * each machine owns a managed heap, per-machine statics, native queue
 //!   table and the per-call-site reuse caches of §3.3;
 //! * a GM-style drain loop per machine receives packets (one drainer, as
-//!   in the paper's modified GM) and hands requests to a small worker
-//!   pool ("a new thread is created to invoke the user's code");
+//!   in the paper's modified GM), runs requests whose handlers the
+//!   analysis proves non-blocking as upcalls on its own thread, and hands
+//!   the rest to a small worker pool; callers park on their own reply
+//!   slot and are woken one by one;
 //! * remote calls marshal through the corm-codegen serializer programs;
 //!   calls that happen to target a local object still clone their
 //!   arguments through serialization ("the same parameter passing

@@ -2,6 +2,8 @@
 //! slots and the §3.3 reuse caches.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::thread::Thread;
 
 use corm_heap::{Heap, ObjRef, Value};
 use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
@@ -16,15 +18,90 @@ pub struct VmQueue {
     pub items: VecDeque<Value>,
 }
 
-/// State of one outstanding RMI awaiting its reply.
+/// One outstanding two-way RMI (DESIGN §17): the calling thread parks
+/// on its own slot, and the drain loop fills it and unparks exactly that
+/// thread — no other waiter on the machine wakes.
 #[derive(Debug)]
-pub enum ReplySlot {
-    /// Waiting for a reply from machine `dest` — recorded so that when a
-    /// peer dies, only calls aimed at it are failed.
-    Waiting {
-        dest: u16,
-    },
-    Ready(Result<Vec<u8>, String>),
+pub struct ReplySlot {
+    /// Machine the request went to — recorded so that when a peer dies,
+    /// only calls aimed at it are failed.
+    dest: u16,
+    waiter: Thread,
+    result: Mutex<Option<Result<Vec<u8>, String>>>,
+}
+
+impl ReplySlot {
+    /// Park until the reply (or a failure) lands in this slot. Must run
+    /// on the thread that registered the slot.
+    pub fn wait(&self) -> Result<Vec<u8>, String> {
+        loop {
+            if let Some(r) = self.result.lock().take() {
+                return r;
+            }
+            std::thread::park();
+        }
+    }
+
+    fn fill(&self, result: Result<Vec<u8>, String>) {
+        *self.result.lock() = Some(result);
+        self.waiter.unpark();
+    }
+}
+
+/// A machine's outstanding replies, keyed by request id. It sits beside
+/// the machine lock, not under it, so completing a reply never waits for
+/// the heap.
+#[derive(Debug, Default)]
+pub struct ReplyTable {
+    slots: Mutex<HashMap<u64, Arc<ReplySlot>>>,
+}
+
+impl ReplyTable {
+    /// Register the calling thread as the waiter for request `req`, sent
+    /// to machine `dest`.
+    pub fn register(&self, req: u64, dest: u16) -> Arc<ReplySlot> {
+        let slot =
+            Arc::new(ReplySlot { dest, waiter: std::thread::current(), result: Mutex::new(None) });
+        self.slots.lock().insert(req, slot.clone());
+        slot
+    }
+
+    /// Complete request `req` and wake its caller. Only a call still
+    /// waiting may complete: a reply whose slot is gone (the caller
+    /// already completed via an earlier copy, or a peer failure failed
+    /// it) is stale and returns `false`.
+    pub fn complete(&self, req: u64, result: Result<Vec<u8>, String>) -> bool {
+        let slot = self.slots.lock().remove(&req);
+        match slot {
+            Some(slot) => {
+                slot.fill(result);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Fail every call waiting on `peer` (on anyone, when `peer` is
+    /// `None`) with `why`, waking their callers. Returns the failed ids.
+    pub fn fail(&self, peer: Option<u16>, why: &str) -> Vec<u64> {
+        let mut slots = self.slots.lock();
+        let failed: Vec<u64> = slots
+            .iter()
+            .filter(|(_, s)| peer.is_none_or(|p| s.dest == p))
+            .map(|(&req, _)| req)
+            .collect();
+        for req in &failed {
+            if let Some(slot) = slots.remove(req) {
+                slot.fill(Err(why.to_string()));
+            }
+        }
+        failed
+    }
+
+    /// Calls currently waiting for a reply.
+    pub fn waiting(&self) -> usize {
+        self.slots.lock().len()
+    }
 }
 
 /// Bound of the per-machine reply cache (completed entries).
@@ -47,15 +124,17 @@ pub enum CachedReply {
 }
 
 /// Everything a machine owns, guarded by one lock (the per-machine "big
-/// lock"; blocking operations release it and wait on the condvar).
+/// lock"; blocking operations release it while they wait).
 pub struct MachineState {
     pub heap: Heap,
     pub statics: Vec<Value>,
     pub queues: Vec<VmQueue>,
-    pub replies: HashMap<u64, ReplySlot>,
-    /// Callee-side argument reuse caches: per call site, one cached root
-    /// per argument (the paper's `temp_arr` static, Fig. 13).
-    pub arg_cache: HashMap<CallSiteId, Vec<Value>>,
+    /// Callee-side argument reuse caches: per call site and calling
+    /// machine, one cached root per argument (the paper's `temp_arr`
+    /// static, Fig. 13). Keying by caller as well keeps a site's local
+    /// and remote callers from racing for one slot, so the reuse counts
+    /// do not follow the thread interleaving.
+    pub arg_cache: HashMap<(CallSiteId, u16), Vec<Value>>,
     /// Caller-side return-value reuse caches, per call site.
     pub ret_cache: HashMap<CallSiteId, Value>,
     pub next_req: u64,
@@ -97,7 +176,6 @@ impl MachineState {
             heap: Heap::new(),
             statics,
             queues: Vec::new(),
-            replies: HashMap::new(),
             arg_cache: HashMap::new(),
             ret_cache: HashMap::new(),
             next_req: 1,
@@ -159,8 +237,16 @@ impl MachineState {
     }
 
     /// Update one reuse-cache slot, maintaining GC pins on the roots.
-    pub fn set_arg_cache(&mut self, site: CallSiteId, idx: usize, nargs: usize, v: Value) {
-        let slots = self.arg_cache.entry(site).or_insert_with(|| vec![Value::Null; nargs]);
+    pub fn set_arg_cache(
+        &mut self,
+        site: CallSiteId,
+        caller: u16,
+        idx: usize,
+        nargs: usize,
+        v: Value,
+    ) {
+        let slots =
+            self.arg_cache.entry((site, caller)).or_insert_with(|| vec![Value::Null; nargs]);
         if slots.len() < nargs {
             slots.resize(nargs, Value::Null);
         }
@@ -177,8 +263,8 @@ impl MachineState {
 
     /// Take (and clear) a reuse candidate — Fig. 13's `temp_arr = null`
     /// guard against concurrent unmarshalers.
-    pub fn take_arg_cache(&mut self, site: CallSiteId, idx: usize) -> Value {
-        match self.arg_cache.get_mut(&site) {
+    pub fn take_arg_cache(&mut self, site: CallSiteId, caller: u16, idx: usize) -> Value {
+        match self.arg_cache.get_mut(&(site, caller)) {
             Some(slots) if idx < slots.len() => std::mem::replace(&mut slots[idx], Value::Null),
             _ => Value::Null,
         }
@@ -233,12 +319,13 @@ impl MachineState {
     }
 }
 
-/// One simulated machine: its state plus the condvar used by all blocking
-/// operations (reply waits, queue waits).
+/// One simulated machine: its state, the condvar `Queue` waiters block
+/// on, and the outstanding-reply table (outside the state lock).
 pub struct MachineShared {
     pub id: u16,
     pub state: Mutex<MachineState>,
     pub cv: Condvar,
+    pub replies: ReplyTable,
 }
 
 impl MachineShared {
@@ -252,7 +339,12 @@ impl MachineShared {
         // cluster-unique id (trace events of one call link across
         // machines by it). 48 bits of counter per machine.
         state.next_req = ((id as u64) << 48) + 1;
-        MachineShared { id, state: Mutex::new(state), cv: Condvar::new() }
+        MachineShared {
+            id,
+            state: Mutex::new(state),
+            cv: Condvar::new(),
+            replies: ReplyTable::default(),
+        }
     }
 }
 
@@ -285,13 +377,13 @@ mod tests {
     fn arg_cache_pins_roots() {
         let mut st = MachineState::new(0);
         let o = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
-        st.set_arg_cache(CallSiteId(3), 0, 2, Value::Ref(o));
+        st.set_arg_cache(CallSiteId(3), 1, 0, 2, Value::Ref(o));
         // pinned: survives GC with no roots
         let rep = st.heap.gc([]);
         assert_eq!(rep.live, 1);
         // replacing the slot unpins the old root
         let o2 = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
-        st.set_arg_cache(CallSiteId(3), 0, 2, Value::Ref(o2));
+        st.set_arg_cache(CallSiteId(3), 1, 0, 2, Value::Ref(o2));
         let rep = st.heap.gc([]);
         assert_eq!(rep.freed, 1);
     }
@@ -300,9 +392,10 @@ mod tests {
     fn take_cache_clears_slot() {
         let mut st = MachineState::new(0);
         let o = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
-        st.set_arg_cache(CallSiteId(1), 1, 2, Value::Ref(o));
-        assert_eq!(st.take_arg_cache(CallSiteId(1), 1), Value::Ref(o));
-        assert_eq!(st.take_arg_cache(CallSiteId(1), 1), Value::Null);
+        st.set_arg_cache(CallSiteId(1), 0, 1, 2, Value::Ref(o));
+        assert_eq!(st.take_arg_cache(CallSiteId(1), 1, 1), Value::Null, "slots are per caller");
+        assert_eq!(st.take_arg_cache(CallSiteId(1), 0, 1), Value::Ref(o));
+        assert_eq!(st.take_arg_cache(CallSiteId(1), 0, 1), Value::Null);
     }
 
     #[test]
@@ -339,6 +432,57 @@ mod tests {
         // plausible retransmit window fits).
         assert_eq!(st.reply_cache_claim(1, 0), None);
         assert_eq!(st.reply_cache_claim(1, REPLY_CACHE_CAP as u64 + 9), Some(CachedReply::OneWay));
+    }
+
+    #[test]
+    fn a_reply_wakes_only_its_own_caller_even_out_of_order() {
+        let table = Arc::new(ReplyTable::default());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let callers: Vec<_> = [10u64, 11]
+            .into_iter()
+            .map(|req| {
+                let (table, tx) = (table.clone(), tx.clone());
+                std::thread::spawn(move || {
+                    let slot = table.register(req, 1);
+                    tx.send(()).unwrap();
+                    slot.wait()
+                })
+            })
+            .collect();
+        rx.recv().unwrap();
+        rx.recv().unwrap();
+        // Replies land in the reverse order of the calls.
+        assert!(table.complete(11, Ok(vec![11])));
+        assert!(table.complete(10, Ok(vec![10])));
+        assert!(!table.complete(10, Ok(vec![0])), "a duplicate reply is stale");
+        let got: Vec<_> = callers.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(got, vec![Ok(vec![10]), Ok(vec![11])]);
+        assert_eq!(table.waiting(), 0);
+    }
+
+    #[test]
+    fn fail_pending_is_scoped_to_the_dead_peer() {
+        let table = ReplyTable::default();
+        let to1 = table.register(1, 1);
+        let to2 = table.register(2, 2);
+        assert_eq!(table.fail(Some(1), "peer machine 1 disconnected"), vec![1]);
+        assert!(matches!(to1.wait(), Err(e) if e.contains('1')));
+        assert_eq!(table.waiting(), 1, "a call to a live peer must keep waiting");
+        assert!(table.complete(2, Ok(vec![9])));
+        assert_eq!(to2.wait(), Ok(vec![9]));
+    }
+
+    #[test]
+    fn fail_pending_without_peer_fails_everything_waiting() {
+        let table = ReplyTable::default();
+        let slots = [table.register(1, 1), table.register(2, 2)];
+        let mut failed = table.fail(None, "transport disconnected");
+        failed.sort();
+        assert_eq!(failed, vec![1, 2]);
+        for slot in slots {
+            assert!(slot.wait().is_err());
+        }
+        assert!(!table.complete(1, Ok(Vec::new())), "a failed call cannot complete");
     }
 
     #[test]

@@ -8,16 +8,16 @@ use corm_ir::{CallSiteId, ClassId, MethodId};
 use corm_net::Packet;
 use corm_obs::recorder::{
     FlightKind, FLAG_ARGS_CYCLE_TABLE, FLAG_ARG_REUSE, FLAG_ONEWAY, FLAG_POOL_HIT,
-    FLAG_RET_CYCLE_TABLE, FLAG_RET_REUSE, TRANSPORT_LOSSY,
+    FLAG_RET_CYCLE_TABLE, FLAG_RET_REUSE, FLAG_UPCALL, TRANSPORT_LOSSY,
 };
 use corm_wire::{DeserTable, Message, MessageReader, RmiStats, SerCycleTable};
 use parking_lot::MutexGuard;
 
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
-use crate::machine::{CachedReply, MachineState, ReplySlot};
+use crate::machine::{CachedReply, MachineState};
 use crate::pool::Lane;
-use crate::runtime::Runtime;
+use crate::runtime::{Drainer, Runtime, Upcall};
 use crate::trace::{Phase, TraceKind};
 
 /// Shadow table for the audit mode (DESIGN §10): created only when
@@ -96,6 +96,21 @@ fn attach_provenance(plan: &MarshalPlan, site: CallSiteId, e: impl std::fmt::Dis
         ))
     } else {
         VmError::new(msg)
+    }
+}
+
+/// The auditor's verdict on an upcall that reached a blocking operation:
+/// the analysis claimed nothing reachable from the handler at `site`
+/// blocks, and the runtime just contradicted it.
+pub(crate) fn upcall_audit_error(rt: &Runtime, site: CallSiteId, op: &str) -> VmError {
+    let msg = format!(
+        "{AUDIT_ERROR_PREFIX}: upcall at call site {} reached blocking {op}, but the \
+         analysis proved its handler non-blocking",
+        site.0
+    );
+    match rt.plans.plan(site) {
+        Some(plan) => attach_provenance(plan, site, msg),
+        None => VmError::new(msg),
     }
 }
 
@@ -259,7 +274,7 @@ fn local_rpc(
     let u0 = rt.start.elapsed();
     let vals = {
         let mut reader = reader_msg.reader();
-        deserialize_args(&rt, my, guard, ser, plan, site, &mut reader)?
+        deserialize_args(&rt, my, guard, ser, plan, site, my, &mut reader)?
     };
     shard.unmarshal_us.record((rt.start.elapsed() - u0).as_micros() as u64);
     rt.trace_event(my, TraceKind::PhaseEnd { phase: Phase::Unmarshal, req, site: site.0 });
@@ -292,7 +307,7 @@ fn local_rpc(
     let ret = interp.call_in(guard, f, args)?;
     shard.invoke_us.record((rt.start.elapsed() - i0).as_micros() as u64);
     rt.trace_event(my, TraceKind::PhaseEnd { phase: Phase::Invoke, req, site: site.0 });
-    update_arg_caches(guard, plan, site, &vals);
+    update_arg_caches(guard, plan, site, my, &vals);
     let end_us = rt.start.elapsed().as_micros() as u64;
     let us = end_us.saturating_sub(t0.as_micros() as u64);
     shard.rtt_us.record(us);
@@ -338,10 +353,10 @@ fn wire_rpc(
     RmiStats::bump(&shard.stats.remote_rpcs, 1);
     let t0 = rt.start.elapsed();
 
-    if !oneway {
-        guard.replies.insert(req, ReplySlot::Waiting { dest: receiver.machine });
+    let slot = (!oneway).then(|| {
         shard.in_flight.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
+        interp.machine.replies.register(req, receiver.machine)
+    });
     let payload = msg.into_bytes();
     let net = rt.net.clone();
     let bytes = payload.len() as u64;
@@ -377,21 +392,14 @@ fn wire_rpc(
             rt.net.sever(fault.victim);
         }
     }
-    MutexGuard::unlocked(guard, || net.send(my, receiver.machine, packet));
-    if oneway {
-        return Ok(Value::Null);
-    }
-
-    // Figure 1's `wait(Machine 1)`.
-    let machine = interp.machine.clone();
-    let result = loop {
-        if matches!(guard.replies.get(&req), Some(ReplySlot::Ready(_))) {
-            match guard.replies.remove(&req) {
-                Some(ReplySlot::Ready(r)) => break r,
-                _ => unreachable!(),
-            }
-        }
-        machine.cv.wait(guard);
+    // Send, then Figure 1's `wait(Machine 1)`: park on this call's own
+    // reply slot with the machine lock released.
+    let result = MutexGuard::unlocked(guard, || {
+        net.send(my, receiver.machine, packet);
+        slot.map(|s| s.wait())
+    });
+    let Some(result) = result else {
+        return Ok(Value::Null); // one-way
     };
     shard.in_flight.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
 
@@ -459,6 +467,7 @@ fn deserialize_args(
     ser: &Serializer<'_>,
     plan: &MarshalPlan,
     site: CallSiteId,
+    caller: u16,
     reader: &mut corm_wire::MessageReader<'_>,
 ) -> VmResult<Vec<Value>> {
     let mut dt = if plan.args_cycle_table { Some(DeserTable::new()) } else { None };
@@ -467,7 +476,8 @@ fn deserialize_args(
     let mut total_reused = 0;
     let mut err = None;
     for (i, node) in plan.args.iter().enumerate() {
-        let reuse = if plan.arg_reuse[i] { guard.take_arg_cache(site, i) } else { Value::Null };
+        let reuse =
+            if plan.arg_reuse[i] { guard.take_arg_cache(site, caller, i) } else { Value::Null };
         let reuse = audit_poison(rt, my, guard, reuse);
         match ser.deserialize(&mut guard.heap, node, reader, &mut dt, reuse) {
             Ok(out) => {
@@ -489,17 +499,19 @@ fn deserialize_args(
 }
 
 /// After the invocation completes, stash the deserialized argument roots
-/// for the next call of this unmarshaler (Fig. 13's `temp_arr = t`).
+/// for the next call of this unmarshaler from the same `caller` machine
+/// (Fig. 13's `temp_arr = t`).
 fn update_arg_caches(
     guard: &mut MutexGuard<'_, MachineState>,
     plan: &MarshalPlan,
     site: CallSiteId,
+    caller: u16,
     vals: &[Value],
 ) {
     let n = plan.args.len();
     for (i, &reuse) in plan.arg_reuse.iter().enumerate() {
         if reuse {
-            guard.set_arg_cache(site, i, n, vals[i]);
+            guard.set_arg_cache(site, caller, i, n, vals[i]);
         }
     }
 }
@@ -548,50 +560,56 @@ pub fn new_remote(
         return Ok(Value::Remote(corm_heap::RemoteRef { machine: my, obj, class }));
     }
     let req_id = guard.fresh_req_id();
-    guard.replies.insert(req_id, ReplySlot::Waiting { dest: target });
+    let slot = interp.machine.replies.register(req_id, target);
     let net = rt.net.clone();
-    MutexGuard::unlocked(guard, || {
-        net.send(my, target, Packet::NewRemote { req_id, from: my, class: class.0 })
+    let result = MutexGuard::unlocked(guard, || {
+        net.send(my, target, Packet::NewRemote { req_id, from: my, class: class.0 });
+        slot.wait()
     });
-    let machine = interp.machine.clone();
-    let result = loop {
-        if matches!(guard.replies.get(&req_id), Some(ReplySlot::Ready(_))) {
-            match guard.replies.remove(&req_id) {
-                Some(ReplySlot::Ready(r)) => break r,
-                _ => unreachable!(),
-            }
-        }
-        machine.cv.wait(guard);
-    };
     let payload = result.map_err(|e| VmError::new(format!("remote allocation failed: {e}")))?;
     let obj = ObjRef(u32::from_le_bytes(payload[..4].try_into().unwrap()));
     Ok(Value::Remote(corm_heap::RemoteRef { machine: target, obj, class }))
 }
 
+/// One request as the drain loop received it, on its way to whoever
+/// runs the handler. Rides host-side only — the wire format is unchanged.
+pub(crate) struct Incoming {
+    pub req_id: u64,
+    pub from: u16,
+    pub site: u32,
+    pub target_obj: u32,
+    pub payload: Vec<u8>,
+    pub oneway: bool,
+    /// When the drainer received the request (µs since run start): the
+    /// start of its queue phase.
+    pub enq_us: u64,
+    /// Chosen by [`crate::StallSpec`] to sleep before processing.
+    pub stall: bool,
+}
+
 /// Server-side execution of one incoming request (Figure 1's
-/// `Unmarshaler_Example.foo`).
-#[allow(clippy::too_many_arguments)]
-pub fn handle_request(
+/// `Unmarshaler_Example.foo`). `drainer` is `Some` when the drain thread
+/// runs the request as an upcall; it comes back unless the upcall handed
+/// the mailbox to a fresh drain thread on the way.
+pub(crate) fn handle_request(
     rt: &std::sync::Arc<Runtime>,
     my: u16,
-    req_id: u64,
-    from: u16,
-    site: u32,
-    target_obj: u32,
-    payload: Vec<u8>,
-    oneway: bool,
-    enq_us: u64,
-) {
+    request: Incoming,
+    drainer: Option<Drainer>,
+) -> Option<Drainer> {
+    let Incoming { req_id, from, site, target_obj, payload, oneway, enq_us, stall } = request;
     let plans = rt.plans.clone();
     let site = CallSiteId(site);
     let machine = rt.machine(my).clone();
     let mut interp = Interp::new(rt.clone(), my);
+    let upcall = drainer.is_some();
+    interp.upcall = drainer.map(|d| Upcall { site, drainer: Some(d) });
     let shard = rt.obs.machine(my);
     // Close the queue phase the drain loop opened: the time between the
-    // drainer receiving this request and this worker picking it up is
-    // pure waiting — the component that dominates round trips on a
-    // saturated server. Closed before `t0` so the queue span ends no
-    // later than the handle span begins.
+    // drainer receiving this request and the handler starting is pure
+    // waiting — the component that dominates round trips on a saturated
+    // server. Closed before `t0` so the queue span ends no later than
+    // the handle span begins.
     if enq_us > 0 {
         let now_us = rt.start.elapsed().as_micros() as u64;
         shard.queue_us.record(now_us.saturating_sub(enq_us));
@@ -611,22 +629,14 @@ pub fn handle_request(
             if let CachedReply::Sent(payload, err) = cached {
                 rt.net.send(my, from, Packet::Reply { req_id, payload, err });
             }
-            return;
+            return interp.upcall.and_then(|u| u.drainer);
         }
     }
     let t0 = rt.start.elapsed();
     // Stall injection (RunOptions::stall): model a slow server by putting
-    // the configured requests to sleep before any processing.
-    if let Some(stall) = rt.stall {
-        if stall.every > 0
-            && stall.stall_us > 0
-            && rt
-                .stall_count
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                .is_multiple_of(stall.every)
-        {
-            std::thread::sleep(std::time::Duration::from_micros(stall.stall_us));
-        }
+    // the chosen requests to sleep before any processing.
+    if let Some(spec) = rt.stall.filter(|_| stall) {
+        std::thread::sleep(std::time::Duration::from_micros(spec.stall_us));
     }
     let reused_before = shard.stats.snapshot().reused_objs;
     let request_bytes = payload.len() as u32;
@@ -647,7 +657,7 @@ pub fn handle_request(
                 TraceKind::PhaseBegin { phase: Phase::Unmarshal, req: req_id, site: site.0 },
             );
             let u0 = rt.start.elapsed();
-            let vals = deserialize_args(rt, my, &mut guard, &ser, plan, site, &mut reader)?;
+            let vals = deserialize_args(rt, my, &mut guard, &ser, plan, site, from, &mut reader)?;
             shard.unmarshal_us.record((rt.start.elapsed() - u0).as_micros() as u64);
             rt.trace_event(
                 my,
@@ -675,7 +685,7 @@ pub fn handle_request(
                 my,
                 TraceKind::PhaseEnd { phase: Phase::Invoke, req: req_id, site: site.0 },
             );
-            update_arg_caches(&mut guard, plan, site, &vals);
+            update_arg_caches(&mut guard, plan, site, from, &vals);
 
             // The request buffer becomes the reply payload: cleared for
             // a bare ack (zero payload bytes — `wire_bytes` accounting
@@ -699,7 +709,6 @@ pub fn handle_request(
         })();
 
         guard.active_threads -= 1;
-        machine.cv.notify_all();
         run
     })();
 
@@ -714,7 +723,10 @@ pub fn handle_request(
             reused: shard.stats.snapshot().reused_objs - reused_before,
         },
     );
-    let flags = plans.plan(site).map(|p| plan_flags(p, oneway)).unwrap_or(0);
+    let mut flags = plans.plan(site).map(|p| plan_flags(p, oneway)).unwrap_or(0);
+    if upcall {
+        flags |= FLAG_UPCALL;
+    }
     rt.flight_event(my, FlightKind::Handle, req_id, site.0, request_bytes, from, flags);
     if oneway {
         if dedup {
@@ -725,7 +737,7 @@ pub fn handle_request(
         if let Err(e) = result {
             rt.print(&format!("[machine {my}] one-way request failed: {e}\n"));
         }
-        return;
+        return None;
     }
     let packet = match result {
         Ok(payload) => Packet::Reply { req_id, payload, err: None },
@@ -744,4 +756,5 @@ pub fn handle_request(
         }
     }
     rt.net.send(my, from, packet);
+    interp.upcall.and_then(|u| u.drainer)
 }

@@ -178,6 +178,9 @@ pub struct Runtime {
     pub auto_gc: bool,
     /// Join handles of user `spawn` threads.
     pub spawned: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Join handles of drain threads started by an upcall hand-off (see
+    /// [`Upcall::hand_off`]); [`Cluster::finish`] joins them.
+    pub drainers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Event trace, when enabled by [`RunOptions::trace`].
     pub trace: Option<Mutex<Vec<crate::trace::TraceEvent>>>,
     /// Analysis-verdict auditing (see [`RunOptions::audit`]).
@@ -276,6 +279,19 @@ impl Runtime {
                 transport: self.transport_code,
             },
         );
+    }
+
+    /// Decide whether the request just received is one
+    /// [`StallSpec::every`] picks for an injected stall.
+    fn claim_stall(&self) -> bool {
+        self.stall.is_some_and(|s| {
+            s.every > 0
+                && s.stall_us > 0
+                && self
+                    .stall_count
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                    .is_multiple_of(s.every)
+        })
     }
 
     /// Assemble a flight dump with the given reason, capturing every
@@ -446,6 +462,7 @@ impl Cluster {
             echo: opts.echo,
             auto_gc: opts.auto_gc,
             spawned: Mutex::new(Vec::new()),
+            drainers: Mutex::new(Vec::new()),
             trace: if opts.trace { Some(Mutex::new(Vec::new())) } else { None },
             audit: opts.audit,
             audit_counters: AuditCounters::default(),
@@ -462,33 +479,29 @@ impl Cluster {
         let _panic_guard = PanicFlightGuard { rt: rt.clone() };
 
         // Service threads: one GM-style drain loop per machine plus a
-        // small request worker pool.
+        // small request worker pool for handlers that may block.
         let mut services = Vec::new();
         for mailbox in mailboxes {
-            let (work_tx, work_rx) = crossbeam::channel::unbounded::<WorkItem>();
+            let (work_tx, work_rx) = crossbeam::channel::unbounded::<rmi::Incoming>();
             for _ in 0..opts.workers_per_machine.max(1) {
                 let rt2 = rt.clone();
                 let rx = work_rx.clone();
                 let mid = mailbox.machine();
                 services.push(spawn_vm_thread("corm-worker", move || {
-                    while let Ok((req_id, from, site, target_obj, payload, oneway, enq_us)) =
-                        rx.recv()
-                    {
+                    while let Ok(request) = rx.recv() {
                         // Close the queue-depth gauge the drain loop
                         // opened when it parked this request.
                         rt2.obs
                             .machine(mid)
                             .serve_queue_depth
                             .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                        rmi::handle_request(
-                            &rt2, mid, req_id, from, site, target_obj, payload, oneway, enq_us,
-                        );
+                        rmi::handle_request(&rt2, mid, request, None);
                     }
                 }));
             }
             let rt2 = rt.clone();
             services.push(spawn_vm_thread("corm-drain", move || {
-                drain_loop(rt2, mailbox, work_tx);
+                drain_loop(rt2, Drainer { mailbox, work_tx });
             }));
         }
 
@@ -526,6 +539,17 @@ impl Cluster {
         }
         for s in services {
             let _ = s.join();
+        }
+        // Drain threads started by upcall hand-offs. A drainer pushes its
+        // successor before it exits, so popping until empty joins them all.
+        loop {
+            let handle = rt.drainers.lock().pop();
+            match handle {
+                Some(h) => {
+                    let _ = h.join();
+                }
+                None => break,
+            }
         }
         // Tear the backend down (joins TCP reader threads; no-op on
         // channel) so measured wire time is final and nothing outlives
@@ -654,28 +678,6 @@ fn run_clinits(rt: &Arc<Runtime>) -> Option<VmError> {
     None
 }
 
-/// Fail outstanding RMIs waiting on `peer` (or on anyone, when `peer` is
-/// `None`) with an error reply, waking their callers. Invoked when the
-/// transport reports a dead peer or a full disconnect — turning what
-/// would be silent quiescence into an orderly remote error. Returns the
-/// request ids that were failed, for the flight recorder.
-fn fail_pending_replies(machine: &MachineShared, peer: Option<u16>, why: &str) -> Vec<u64> {
-    let mut st = machine.state.lock();
-    let mut failed = Vec::new();
-    for (req, slot) in st.replies.iter_mut() {
-        let hit = match slot {
-            crate::machine::ReplySlot::Waiting { dest } => peer.is_none_or(|p| *dest == p),
-            crate::machine::ReplySlot::Ready(_) => false,
-        };
-        if hit {
-            *slot = crate::machine::ReplySlot::Ready(Err(why.to_string()));
-            failed.push(*req);
-        }
-    }
-    machine.cv.notify_all();
-    failed
-}
-
 /// Record `Fail` flight events for requests whose replies will never
 /// arrive, and remember their ids for the end-of-run dump.
 fn record_failed_reqs(rt: &Runtime, my: u16, peer: u16, failed: &[u64]) {
@@ -688,30 +690,58 @@ fn record_failed_reqs(rt: &Runtime, my: u16, peer: u16, failed: &[u64]) {
     rt.flight_failed.lock().extend_from_slice(failed);
 }
 
-/// One queued request: `(req_id, from, site, target_obj, payload,
-/// oneway, enq_us)`. The last element is the drain loop's enqueue
-/// timestamp (µs since run start), which the worker turns into the
-/// request's queue-phase latency. It rides host-side only — the wire
-/// format is unchanged.
-type WorkItem = (u64, u16, u32, u32, Vec<u8>, bool, u64);
+/// Steps an upcall may run on the drain thread before it hands the
+/// mailbox to a fresh drain thread (checked at the interpreter's
+/// 512-step safepoint). A handler the analysis proved non-blocking can
+/// still spin on the heap, e.g. on a flag only a later request sets;
+/// past this budget it finishes as an ordinary worker so the mailbox
+/// never starves. About a millisecond of interpretation.
+pub const UPCALL_STEP_BUDGET: u64 = 1 << 16;
+
+/// What a drain thread owns: the machine's mailbox and the work queue
+/// into its worker pool. Exactly one thread holds it at a time.
+pub(crate) struct Drainer {
+    mailbox: Box<dyn Mailbox>,
+    work_tx: crossbeam::channel::Sender<rmi::Incoming>,
+}
+
+/// A request running as an upcall on the drain thread (DESIGN §17).
+pub(crate) struct Upcall {
+    /// The call site whose verdict allowed the upcall (for audit errors).
+    pub site: corm_ir::CallSiteId,
+    /// `Some` while this thread is still its machine's drainer.
+    pub drainer: Option<Drainer>,
+}
+
+impl Upcall {
+    /// Stop being the drainer: a fresh drain thread takes the mailbox,
+    /// and this thread finishes its request as an ordinary worker. No-op
+    /// once handed off.
+    pub fn hand_off(&mut self, rt: &Arc<Runtime>) {
+        let Some(drainer) = self.drainer.take() else { return };
+        let my = drainer.mailbox.machine();
+        rt.obs.machine(my).upcall_handoffs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let rt2 = rt.clone();
+        let handle = spawn_vm_thread("corm-drain", move || drain_loop(rt2, drainer));
+        rt.drainers.lock().push(handle);
+    }
+}
 
 /// The per-machine receive loop: exactly one drainer per machine, as in
-/// the paper's modified GM layer. Requests go to the worker pool (or a
-/// dedicated thread for one-way spawns); replies wake the waiting caller;
+/// the paper's modified GM layer. Two-way requests at upcall-safe sites
+/// run right here, as upcalls; other requests go to the worker pool (or a
+/// dedicated thread for one-way spawns); replies wake their own caller;
 /// `NewRemote` allocations are served inline.
-fn drain_loop(
-    rt: Arc<Runtime>,
-    mailbox: Box<dyn Mailbox>,
-    work_tx: crossbeam::channel::Sender<WorkItem>,
-) {
-    let my = mailbox.machine();
+fn drain_loop(rt: Arc<Runtime>, mut d: Drainer) {
+    let my = d.mailbox.machine();
     loop {
-        let packet = match mailbox.recv() {
+        let packet = match d.mailbox.recv() {
             Ok(p) => p,
             Err(RecvError::Disconnected) => {
                 // The fabric is gone (not an orderly Shutdown packet):
-                // no reply can ever arrive, so fail every waiter.
-                let failed = fail_pending_replies(rt.machine(my), None, "transport disconnected");
+                // no reply can ever arrive, so fail every waiter — turning
+                // what would be silent quiescence into an orderly error.
+                let failed = rt.machine(my).replies.fail(None, "transport disconnected");
                 record_failed_reqs(&rt, my, u16::MAX, &failed);
                 break;
             }
@@ -719,33 +749,22 @@ fn drain_loop(
         match packet {
             Packet::Shutdown => break,
             Packet::PeerGone { peer } => {
-                let failed = fail_pending_replies(
-                    rt.machine(my),
-                    Some(peer),
-                    &format!("peer machine {peer} disconnected"),
-                );
+                let failed = rt
+                    .machine(my)
+                    .replies
+                    .fail(Some(peer), &format!("peer machine {peer} disconnected"));
                 record_failed_reqs(&rt, my, peer, &failed);
             }
             Packet::Reply { req_id, payload, err } => {
-                let machine = rt.machine(my);
-                let mut st = machine.state.lock();
+                // Stale replies (the caller already completed via an
+                // earlier copy, or PeerGone failed it) find no slot —
+                // under at-least-once semantics the server's reply cache
+                // re-sends replies — and are dropped.
                 let result = match err {
                     Some(e) => Err(e),
                     None => Ok(payload),
                 };
-                // Only a call still waiting may complete: a reply whose
-                // slot is gone (caller already completed via an earlier
-                // copy) or already Ready (failed by PeerGone) is stale —
-                // under at-least-once semantics the server's reply cache
-                // re-sends replies, and inserting one here would leak a
-                // Ready entry no caller will ever consume.
-                match st.replies.get_mut(&req_id) {
-                    Some(slot @ crate::machine::ReplySlot::Waiting { .. }) => {
-                        *slot = crate::machine::ReplySlot::Ready(result);
-                        machine.cv.notify_all();
-                    }
-                    _ => drop(st),
-                }
+                rt.machine(my).replies.complete(req_id, result);
             }
             Packet::NewRemote { req_id, from, class } => {
                 rt.trace_event(my, crate::trace::TraceKind::NewRemote { class, from });
@@ -788,8 +807,8 @@ fn drain_loop(
             }
             Packet::Request { req_id, from, site, target_obj, payload, oneway } => {
                 // Queue phase opens the moment the drainer has the
-                // request; the worker (or spawned thread) closes it when
-                // it picks the request up.
+                // request; whoever runs the handler closes it when it
+                // starts — this thread itself for an upcall.
                 let enq_us = rt.start.elapsed().as_micros() as u64;
                 rt.trace_event(
                     my,
@@ -799,64 +818,43 @@ fn drain_loop(
                         site,
                     },
                 );
+                // An injected stall sleeps, so a request chosen for one
+                // never runs as an upcall.
+                let stall = rt.claim_stall();
+                let request = rmi::Incoming {
+                    req_id,
+                    from,
+                    site,
+                    target_obj,
+                    payload,
+                    oneway,
+                    enq_us,
+                    stall,
+                };
+                let shard = rt.obs.machine(my);
                 if oneway {
                     // Long-running spawned work gets its own thread so it
                     // cannot starve the request pool.
                     let rt2 = rt.clone();
                     let handle = spawn_vm_thread("corm-spawn", move || {
-                        rmi::handle_request(
-                            &rt2, my, req_id, from, site, target_obj, payload, true, enq_us,
-                        );
+                        rmi::handle_request(&rt2, my, request, None);
                     });
                     rt.spawned.lock().push(handle);
+                } else if !stall
+                    && rt.plans.plan(corm_ir::CallSiteId(site)).is_some_and(|p| p.upcall)
+                {
+                    shard.upcalls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    match rmi::handle_request(&rt, my, request, Some(d)) {
+                        Some(back) => d = back,
+                        // Handed off past the step budget: a fresh drain
+                        // thread owns the mailbox now.
+                        None => return,
+                    }
                 } else {
-                    rt.obs
-                        .machine(my)
-                        .serve_queue_depth
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let _ = work_tx.send((req_id, from, site, target_obj, payload, oneway, enq_us));
+                    shard.serve_queue_depth.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let _ = d.work_tx.send(request);
                 }
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::machine::ReplySlot;
-
-    #[test]
-    fn fail_pending_is_scoped_to_the_dead_peer() {
-        let machine = MachineShared::new(0, 0);
-        {
-            let mut st = machine.state.lock();
-            st.replies.insert(1, ReplySlot::Waiting { dest: 1 });
-            st.replies.insert(2, ReplySlot::Waiting { dest: 2 });
-            st.replies.insert(3, ReplySlot::Ready(Ok(vec![9])));
-        }
-        fail_pending_replies(&machine, Some(1), "peer machine 1 disconnected");
-        let st = machine.state.lock();
-        assert!(matches!(st.replies.get(&1), Some(ReplySlot::Ready(Err(e))) if e.contains("1")));
-        assert!(
-            matches!(st.replies.get(&2), Some(ReplySlot::Waiting { dest: 2 })),
-            "a call to a live peer must keep waiting"
-        );
-        assert!(matches!(st.replies.get(&3), Some(ReplySlot::Ready(Ok(_)))));
-    }
-
-    #[test]
-    fn fail_pending_without_peer_fails_everything_waiting() {
-        let machine = MachineShared::new(0, 0);
-        {
-            let mut st = machine.state.lock();
-            st.replies.insert(1, ReplySlot::Waiting { dest: 1 });
-            st.replies.insert(2, ReplySlot::Waiting { dest: 2 });
-        }
-        fail_pending_replies(&machine, None, "transport disconnected");
-        let st = machine.state.lock();
-        for id in [1, 2] {
-            assert!(matches!(st.replies.get(&id), Some(ReplySlot::Ready(Err(_)))));
         }
     }
 }

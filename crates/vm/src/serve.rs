@@ -351,7 +351,6 @@ fn drive(
             Ok(())
         })();
         guard.active_threads -= 1;
-        machine0.cv.notify_all();
         init?
     }
 
@@ -429,7 +428,6 @@ fn drive(
             });
         }
         guard.active_threads -= 1;
-        machine0.cv.notify_all();
     }
 
     let violations = shared.violations.lock().clone();
@@ -512,7 +510,6 @@ fn client_loop(sh: &DriveShared) {
                 false,
             );
             guard.active_threads -= 1;
-            machine.cv.notify_all();
             r
         };
         let done_us = sh.rt.start.elapsed().as_micros() as u64;

@@ -58,7 +58,9 @@ pub mod channel {
             let mut inner = self.0.inner.lock().unwrap_or_else(|p| p.into_inner());
             inner.items.push_back(value);
             drop(inner);
-            self.0.cv.notify_all();
+            // One item wakes one receiver, as in real crossbeam: waking
+            // every idle receiver per item is a thundering herd.
+            self.0.cv.notify_one();
             Ok(())
         }
     }
@@ -139,6 +141,44 @@ pub mod channel {
             drop(tx2);
             assert_eq!(rx.recv(), Err(RecvError));
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn receivers_blocked_between_sends_lose_no_wakeup() {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            use std::sync::Arc;
+            use std::time::{Duration, Instant};
+
+            const ITEMS: u64 = 200;
+            let (tx, rx) = unbounded::<u64>();
+            let delivered = Arc::new(AtomicU64::new(0));
+            let receivers: Vec<_> = (0..3)
+                .map(|_| {
+                    let (rx, delivered) = (rx.clone(), delivered.clone());
+                    std::thread::spawn(move || {
+                        while rx.recv().is_ok() {
+                            delivered.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            for i in 0..ITEMS {
+                tx.send(i).unwrap();
+                // Let the receivers drain and block again before the next
+                // send, so every item must wake a sleeping receiver.
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            // Every item must arrive while the sender is still alive: the
+            // last-sender drop wakes everyone and would mask a lost wake-up.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while delivered.load(Ordering::SeqCst) < ITEMS && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(delivered.load(Ordering::SeqCst), ITEMS, "a wake-up was lost");
+            drop(tx);
+            for r in receivers {
+                r.join().unwrap();
+            }
         }
 
         #[test]

@@ -2,7 +2,8 @@
 //! evaluation apps carries a complete decision record (verdict, rule,
 //! witness) under every Table 1 configuration, the applied verdicts match
 //! the marshal-plan booleans, and the runtime auditor (DESIGN §10) never
-//! contradicts a recorded `cycle_table_elided` or `reuse_enabled` claim.
+//! contradicts a recorded `cycle_table_elided`, `reuse_enabled` or
+//! `upcall` claim.
 
 use corm::{run, OptConfig, RunOptions};
 use corm_apps::ALL_APPS;
@@ -17,7 +18,7 @@ fn every_site_has_full_provenance_under_all_rows() {
                 let ctx = format!("{} under {cfg_name}, site {}", app.name, plan.site.0);
                 let aspects: Vec<&str> =
                     plan.provenance.decisions.iter().map(|d| d.aspect.as_str()).collect();
-                for required in ["args.cycle", "ret.cycle", "ret.reuse"] {
+                for required in ["args.cycle", "ret.cycle", "ret.reuse", "dispatch"] {
                     assert!(aspects.contains(&required), "{ctx}: missing {required}");
                 }
                 for i in 1..=plan.args.len() {
@@ -57,6 +58,12 @@ fn every_site_has_full_provenance_under_all_rows() {
                     ret_reuse.verdict == "reuse_enabled",
                     plan.ret_reuse,
                     "{ctx}: ret.reuse verdict disagrees with the plan"
+                );
+                let dispatch = plan.provenance.find("dispatch").unwrap();
+                assert_eq!(
+                    dispatch.verdict == "upcall",
+                    plan.upcall,
+                    "{ctx}: dispatch verdict disagrees with the plan"
                 );
             }
             // The rendered report names every site.
@@ -185,4 +192,90 @@ fn audit_failure_prints_the_recorded_provenance() {
         "provenance must name the contradicted verdict: {err}"
     );
     assert!(err.message.contains("[rule: "), "provenance must name the rule: {err}");
+}
+
+/// The upcall verdict (DESIGN §17) over the five apps: the paper's hot
+/// handlers run on the drain thread, and the one that feeds a queue does
+/// not — with the reason printed by `corm explain`.
+#[test]
+fn upcall_verdicts_over_the_five_apps() {
+    let dispatch_of = |app: &corm_apps::AppSpec, method: &str| {
+        let c = app.compile(OptConfig::ALL);
+        let table = &c.module.table;
+        let plan = c
+            .plans
+            .sites
+            .values()
+            .find(|p| {
+                let m = table.method(p.method);
+                format!("{}.{}", table.class(m.owner).name, m.name) == method && !p.is_spawn
+            })
+            .unwrap_or_else(|| panic!("{}: no two-way site calls {method}", app.name))
+            .clone();
+        (plan, corm::render_explain(&c))
+    };
+    let apps = corm_apps::ALL_APPS;
+    let app = |name: &str| apps.iter().find(|a| a.name == name).expect("app");
+    for (name, method) in [
+        ("webserver", "Slave.getPage"),
+        ("webserver", "Slave.hitCount"),
+        ("linked_list", "Foo.send"),
+        ("lu", "Master.flushRow"),
+    ] {
+        let (plan, _) = dispatch_of(app(name), method);
+        assert!(plan.upcall, "{method} must run as an upcall");
+        let d = plan.provenance.find("dispatch").expect("dispatch decision");
+        assert_eq!((d.verdict, d.rule), ("upcall", "no-blocking-reach"), "{method}");
+    }
+    let (plan, text) = dispatch_of(app("superopt"), "Tester.submit");
+    assert!(!plan.upcall, "Tester.submit calls Queue.put and must keep the worker path");
+    let d = plan.provenance.find("dispatch").expect("dispatch decision");
+    assert_eq!((d.verdict, d.rule), ("worker", "reaches-blocking-op"));
+    assert!(
+        text.contains(
+            "dispatch: worker [rule: reaches-blocking-op] — may block: reaches Queue.put"
+        ),
+        "corm explain must print the verdict and its reason:\n{text}"
+    );
+    // Spawned calls keep their own thread whatever the handler does.
+    let c = app("superopt").compile(OptConfig::ALL);
+    for p in c.plans.sites.values().filter(|p| p.is_spawn) {
+        assert!(!p.upcall);
+        assert_eq!(p.provenance.find("dispatch").unwrap().verdict, "own_thread");
+    }
+}
+
+/// A handler wrongly marked upcall-safe: under audit, reaching the
+/// blocking operation on the drain thread is an `analysis-audit` error
+/// naming the site's provenance; without audit the upcall hands the
+/// mailbox to a fresh drain thread and the program still completes.
+#[test]
+fn blocking_inside_an_upcall_is_an_audit_error_with_provenance() {
+    let src = r#"
+        remote class R { int nap() { System.sleepMicros(10); return 7; } }
+        class M {
+            static void main() {
+                R r = new R() @ 1;
+                System.println(Str.fromLong(r.nap()));
+            }
+        }
+    "#;
+    let c = corm::compile(src, OptConfig::ALL).expect("compiles");
+    let mut plans = (*c.plans).clone();
+    let nap = plans.sites.values_mut().find(|p| !p.upcall).expect("nap keeps the worker path");
+    nap.upcall = true; // the unsound verdict under test
+    let broken = corm::Compiled { plans: std::sync::Arc::new(plans), ..c };
+
+    let out = run(&broken, RunOptions { audit: true, ..Default::default() });
+    let err = out.error.expect("auditor must catch the blocking upcall");
+    assert!(err.message.contains(corm::AUDIT_ERROR_PREFIX), "{err}");
+    assert!(err.message.contains("reached blocking System.sleepMicros"), "{err}");
+    assert!(err.message.contains("analysis provenance for call site"), "{err}");
+    assert!(err.message.contains("dispatch: worker"), "{err}");
+    assert_eq!(out.flight.reason, "audit-mismatch");
+
+    let out = run(&broken, RunOptions::default());
+    assert_eq!(out.error, None);
+    assert_eq!(out.output, "7\n");
+    assert_eq!(out.metrics.machines[1].upcall_handoffs, 1, "blocking must hand off first");
 }

@@ -266,3 +266,174 @@ fn modeled_time_is_backend_independent_for_poll_free_apps() {
     assert_eq!(modeled[0], modeled[2], "reactor modeled time diverged");
     assert_eq!(modeled[0], modeled[3], "lossy modeled time diverged");
 }
+
+// ----- upcall dispatch (DESIGN §17) ----------------------------------------
+//
+// Two-way requests at sites the analysis proves non-blocking run on the
+// receiver's drain thread. These programs probe the edges of that model
+// on every backend: a nested call back into the waiting caller's machine,
+// a handler that spins until a *later* request frees it (only the step
+// budget's mailbox hand-off lets that request in), and replies that land
+// out of order at two callers parked on one machine.
+
+fn run_upcall_program(src: &str, wire: TransportKind) -> corm::RunOutcome {
+    let compiled = corm::compile(src, OptConfig::ALL).expect("upcall test program compiles");
+    let out =
+        corm::run(&compiled, RunOptions { machines: 2, transport: wire, ..Default::default() });
+    assert_eq!(out.error, None, "{wire}");
+    out
+}
+
+/// `relay` calls back into machine 0, so it may block and runs on a
+/// worker; the nested `bump` is an upcall on machine 0's drain thread
+/// while `main` is parked there waiting for `relay`.
+const CALLBACK: &str = r#"
+    remote class Home { int bump(int x) { return x + 1; } }
+    remote class Away {
+        Home home;
+        void setHome(Home h) { this.home = h; }
+        int relay(int x) { return this.home.bump(x) * 2; }
+    }
+    class M {
+        static void main() {
+            Home h = new Home() @ 0;
+            Away a = new Away() @ 1;
+            a.setHome(h);
+            long s = 0;
+            for (int i = 0; i < 50; i++) { s += a.relay(i); }
+            System.println(Str.fromLong(s));
+        }
+    }
+"#;
+
+fn upcall_calling_back_into_the_caller_completes(wire: TransportKind) {
+    let out = run_upcall_program(CALLBACK, wire);
+    assert_eq!(out.output, "2550\n", "{wire}");
+    // 50 nested bumps ran as upcalls on machine 0; setHome on machine 1.
+    assert_eq!(out.metrics.machines[0].upcalls, 50, "{wire}");
+    assert_eq!(out.metrics.machines[1].upcalls, 1, "{wire}: relay may block, so only setHome");
+}
+
+/// `spin` never blocks, so it starts as an upcall on machine 1's drain
+/// thread — and only `raise`, a later request to the same machine, can
+/// end it. `main` raises only after `isSpinning` answers true, which the
+/// spinning drainer itself can never serve: the step budget must hand
+/// the mailbox to a fresh drain thread.
+const SPIN: &str = r#"
+    remote class Flag {
+        boolean up;
+        boolean spinning;
+        int spin() {
+            this.spinning = true;
+            int n = 0;
+            while (!this.up) { n++; }
+            return 1;
+        }
+        boolean isSpinning() { return this.spinning; }
+        void raise() { this.up = true; }
+    }
+    remote class Waiter {
+        int got;
+        boolean done;
+        void go(Flag f) { this.got = f.spin(); this.done = true; }
+        boolean isDone() { return this.done; }
+        int result() { return this.got; }
+    }
+    class M {
+        static void main() {
+            Flag f = new Flag() @ 1;
+            Waiter w = new Waiter() @ 0;
+            spawn w.go(f);
+            while (!f.isSpinning()) { System.sleepMicros(100); }
+            f.raise();
+            while (!w.isDone()) { System.sleepMicros(100); }
+            System.println(Str.fromLong(w.result()));
+        }
+    }
+"#;
+
+fn spinning_upcall_hands_off_the_mailbox_and_completes(wire: TransportKind) {
+    let out = run_upcall_program(SPIN, wire);
+    assert_eq!(out.output, "1\n", "{wire}");
+    assert!(out.metrics.machines[1].upcall_handoffs >= 1, "{wire}: the spin never handed off");
+}
+
+/// Two callers parked on machine 0 with replies crossing: `slow` (it
+/// sleeps, so a worker runs it) cannot return before `fast` (an upcall)
+/// has run, so the later call's reply lands first — and each caller must
+/// still get its own value.
+const OUT_OF_ORDER: &str = r#"
+    remote class Server {
+        boolean slowStarted;
+        boolean released;
+        int slow(int x) {
+            this.slowStarted = true;
+            while (!this.released) { System.sleepMicros(100); }
+            return x * 3;
+        }
+        boolean started() { return this.slowStarted; }
+        int fast(int x) { this.released = true; return x * 2; }
+    }
+    remote class Client {
+        int got;
+        boolean done;
+        void go(Server s) { this.got = s.slow(7); this.done = true; }
+        boolean isDone() { return this.done; }
+        int result() { return this.got; }
+    }
+    class M {
+        static void main() {
+            Server s = new Server() @ 1;
+            Client c = new Client() @ 0;
+            spawn c.go(s);
+            while (!s.started()) { System.sleepMicros(100); }
+            int fast = s.fast(5);
+            while (!c.isDone()) { System.sleepMicros(100); }
+            System.println(Str.fromLong(fast));
+            System.println(Str.fromLong(c.result()));
+        }
+    }
+"#;
+
+fn out_of_order_replies_reach_their_own_callers(wire: TransportKind) {
+    let out = run_upcall_program(OUT_OF_ORDER, wire);
+    assert_eq!(out.output, "10\n21\n", "{wire}");
+}
+
+macro_rules! upcall_tests {
+    ($($name:ident => $check:ident, $wire:expr;)*) => {
+        $(
+            #[test]
+            fn $name() {
+                $check($wire);
+            }
+        )*
+    };
+}
+
+upcall_tests! {
+    tcp_upcall_calling_back_into_the_caller_completes =>
+        upcall_calling_back_into_the_caller_completes, TransportKind::Tcp;
+    reactor_upcall_calling_back_into_the_caller_completes =>
+        upcall_calling_back_into_the_caller_completes, TransportKind::Reactor;
+    lossy_upcall_calling_back_into_the_caller_completes =>
+        upcall_calling_back_into_the_caller_completes, TransportKind::Lossy;
+    channel_upcall_calling_back_into_the_caller_completes =>
+        upcall_calling_back_into_the_caller_completes, TransportKind::Channel;
+    tcp_spinning_upcall_hands_off_the_mailbox_and_completes =>
+        spinning_upcall_hands_off_the_mailbox_and_completes, TransportKind::Tcp;
+    reactor_spinning_upcall_hands_off_the_mailbox_and_completes =>
+        spinning_upcall_hands_off_the_mailbox_and_completes, TransportKind::Reactor;
+    lossy_spinning_upcall_hands_off_the_mailbox_and_completes =>
+        spinning_upcall_hands_off_the_mailbox_and_completes, TransportKind::Lossy;
+    channel_spinning_upcall_hands_off_the_mailbox_and_completes =>
+        spinning_upcall_hands_off_the_mailbox_and_completes, TransportKind::Channel;
+    tcp_out_of_order_replies_reach_their_own_callers =>
+        out_of_order_replies_reach_their_own_callers, TransportKind::Tcp;
+    reactor_out_of_order_replies_reach_their_own_callers =>
+        out_of_order_replies_reach_their_own_callers, TransportKind::Reactor;
+    lossy_out_of_order_replies_reach_their_own_callers =>
+        out_of_order_replies_reach_their_own_callers, TransportKind::Lossy;
+    channel_out_of_order_replies_reach_their_own_callers =>
+        out_of_order_replies_reach_their_own_callers, TransportKind::Channel;
+}
