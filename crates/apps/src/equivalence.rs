@@ -55,6 +55,9 @@ pub struct TransportRun {
     pub cluster: StatsSnapshot,
     /// Transport-measured wire nanoseconds, summed over machines.
     pub measured_wire_ns: u64,
+    /// Replies dropped because no call was waiting for them, summed
+    /// over machines.
+    pub stale_replies: u64,
     pub error: Option<String>,
 }
 
@@ -110,6 +113,7 @@ fn fold(transport: TransportKind, outcome: RunOutcome) -> TransportRun {
         per_machine: outcome.metrics.machines.iter().map(|m| m.stats).collect(),
         cluster: outcome.stats,
         measured_wire_ns: outcome.measured_wire_ns.iter().sum(),
+        stale_replies: outcome.metrics.machines.iter().map(|m| m.stale_replies).sum(),
         error: outcome.error.map(|e| e.message),
     }
 }
@@ -213,6 +217,7 @@ mod tests {
             per_machine: vec![StatsSnapshot { messages: msgs, ..Default::default() }],
             cluster: StatsSnapshot { messages: msgs, ..Default::default() },
             measured_wire_ns: 0,
+            stale_replies: 0,
             error: None,
         };
         assert!(diff_runs("array2d", "all", &mk(3), &mk(3)).is_empty());

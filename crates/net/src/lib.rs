@@ -26,5 +26,6 @@ pub use packet::Packet;
 pub use reactor::{BatchConfig, ReactorTransport};
 pub use tcp::TcpTransport;
 pub use transport::{
-    ClusterBarrier, Mailbox, Mailboxes, NetHandle, RecvError, Transport, TransportKind,
+    ClusterBarrier, Mailbox, Mailboxes, NetHandle, RecvError, ReplySink, ReplySinks, Transport,
+    TransportKind,
 };

@@ -51,10 +51,8 @@ use corm_obs::recorder::TRANSPORT_LOSSY;
 use corm_obs::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry};
 use std::sync::mpsc::{self, RecvTimeoutError};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-
 use crate::packet::Packet;
-use crate::transport::{Mailbox, Mailboxes, RecvError, Transport, TransportKind};
+use crate::transport::{inboxes, Inbox, Mailboxes, Transport, TransportKind};
 
 /// Which invocation semantics the protocol layer provides. The names
 /// are Birrell/Nelson's; the mechanisms are layered exactly as the
@@ -276,7 +274,7 @@ struct LinkRx {
 /// Everything the fabric thread owns plus the handles other threads use.
 struct Shared {
     spec: LossSpec,
-    local_txs: Vec<Sender<Packet>>,
+    inboxes: Vec<Inbox>,
     measured_ns: Vec<AtomicU64>,
     /// Logical frames charged to measured wire time per machine — the
     /// redelivery-accounting exactness hook: equals frames delivered,
@@ -347,28 +345,24 @@ pub struct LossyTransport {
 impl LossyTransport {
     /// Bare fabric (unit tests): no registry, no flight recorder.
     pub fn new(n: usize, spec: LossSpec) -> (Mailboxes, Arc<LossyTransport>) {
-        Self::with_obs(n, spec, None, None)
+        let (mailboxes, inboxes) = inboxes(n, None);
+        (mailboxes, Self::from_inboxes(inboxes, spec, None, None))
     }
 
     /// Fabric wired into the observability planes: retransmit and
     /// dup-suppression counters land in the registry shards, and each
     /// one also records a flight event on the involved machine's ring.
-    pub fn with_obs(
-        n: usize,
+    /// Delivery goes to `inboxes`, built by [`inboxes`], one per machine.
+    pub(crate) fn from_inboxes(
+        inboxes: Vec<Inbox>,
         spec: LossSpec,
         obs: Option<Arc<MetricsRegistry>>,
         flight: Option<Arc<FlightRecorder>>,
-    ) -> (Mailboxes, Arc<LossyTransport>) {
-        let mut local_txs = Vec::with_capacity(n);
-        let mut mailboxes: Mailboxes = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            local_txs.push(tx);
-            mailboxes.push(Box::new(LossyMailbox { machine: i as u16, rx }));
-        }
+    ) -> Arc<LossyTransport> {
+        let n = inboxes.len();
         let shared = Arc::new(Shared {
             spec,
-            local_txs,
+            inboxes,
             measured_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
             frames_charged: (0..n).map(|_| AtomicU64::new(0)).collect(),
             retransmits: AtomicU64::new(0),
@@ -385,13 +379,12 @@ impl LossyTransport {
                 .spawn(move || fabric_loop(shared, rx))
                 .expect("spawn lossy fabric thread")
         };
-        let t = Arc::new(LossyTransport {
+        Arc::new(LossyTransport {
             shared,
             events,
             severed: Mutex::new(HashSet::new()),
             fabric: Mutex::new(Some(fabric)),
-        });
-        (mailboxes, t)
+        })
     }
 
     /// Total datagram copies re-sent by retransmission timers.
@@ -424,20 +417,20 @@ impl Transport for LossyTransport {
     }
 
     fn machines(&self) -> usize {
-        self.shared.local_txs.len()
+        self.shared.inboxes.len()
     }
 
     fn deliver(&self, from: u16, to: u16, packet: Packet) {
         // PeerGone is synthesized by backends, never sent by the VM;
         // if one arrives here anyway, pass it through unshimmed.
         if let Packet::PeerGone { .. } = packet {
-            let _ = self.shared.local_txs[to as usize].send(packet);
+            self.shared.inboxes[to as usize].deliver(packet);
             return;
         }
         if from == to {
             // Loopback: local RPCs never cross the lossy wire, matching
             // the cost model's zero wire time for them.
-            let _ = self.shared.local_txs[to as usize].send(packet);
+            self.shared.inboxes[to as usize].deliver(packet);
             return;
         }
         if self.severed_contains(from, to) {
@@ -476,9 +469,9 @@ impl Transport for LossyTransport {
         let _ = self.events.send(Event::Sever(machine));
         let copies = if self.shared.spec.duplicate_peer_gone { 2 } else { 1 };
         for _ in 0..copies {
-            for (i, tx) in self.shared.local_txs.iter().enumerate() {
+            for (i, inbox) in self.shared.inboxes.iter().enumerate() {
                 if i as u16 != machine {
-                    let _ = tx.send(Packet::PeerGone { peer: machine });
+                    inbox.deliver(Packet::PeerGone { peer: machine });
                 }
             }
         }
@@ -507,29 +500,6 @@ impl Transport for LossyTransport {
 impl Drop for LossyTransport {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-struct LossyMailbox {
-    machine: u16,
-    rx: Receiver<Packet>,
-}
-
-impl Mailbox for LossyMailbox {
-    fn machine(&self) -> u16 {
-        self.machine
-    }
-
-    fn recv(&self) -> Result<Packet, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    fn try_recv(&self) -> Result<Option<Packet>, RecvError> {
-        match self.rx.try_recv() {
-            Ok(p) => Ok(Some(p)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
-        }
     }
 }
 
@@ -735,12 +705,13 @@ fn deliver_frame_counted(shared: &Shared, to: u16, body: &[u8], charge: bool) {
             .fetch_add(now_ns.saturating_sub(sent_ns), Ordering::Relaxed);
         shared.frames_charged[to as usize].fetch_add(1, Ordering::Relaxed);
     }
-    let _ = shared.local_txs[to as usize].send(packet);
+    shared.inboxes[to as usize].deliver(packet);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Mailbox;
 
     fn reply(req_id: u64) -> Packet {
         Packet::Reply { req_id, payload: vec![0; 64], err: None }

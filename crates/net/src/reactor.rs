@@ -8,8 +8,8 @@
 //! pool of at most [`MAX_REACTORS`] reactor threads — O(threads), not
 //! O(peers) — owns a static partition of all inbound and outbound
 //! connections. Multiple requests stay in flight per peer: frames carry
-//! request ids end-to-end and the VM drain loop matches replies by id
-//! (`crates/vm/src/runtime.rs`), so nothing here assumes call/reply
+//! request ids end-to-end and the VM's reply sink matches replies by id
+//! (`crates/vm/src/machine.rs`), so nothing here assumes call/reply
 //! lockstep.
 //!
 //! **Adaptive batching (Nagle with a bounded deadline).** Each directed
@@ -51,11 +51,10 @@ use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use corm_obs::MetricsRegistry;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
 use crate::packet::Packet;
 use crate::tcp::{lock, open_stream, HELLO_MAGIC, MAX_FRAME};
-use crate::transport::{Mailbox, Mailboxes, RecvError, Transport, TransportKind};
+use crate::transport::{inboxes, Inbox, Mailboxes, Transport, TransportKind};
 
 /// Hard cap on reactor threads, regardless of cluster size.
 const MAX_REACTORS: usize = 4;
@@ -159,7 +158,7 @@ struct Inbound {
 struct Core {
     epoch: Instant,
     cfg: BatchConfig,
-    local_txs: Vec<Sender<Packet>>,
+    inboxes: Vec<Inbox>,
     measured_ns: Vec<AtomicU64>,
     shutting_down: AtomicBool,
     /// `hints[from][to]`: readiness of the (from → to) inbound stream on
@@ -317,7 +316,7 @@ impl Core {
         o.queued_since = None;
         self.mark_drained(conn);
         if !self.shutting_down.load(Ordering::SeqCst) {
-            let _ = self.local_txs[conn.from as usize].send(Packet::PeerGone { peer: conn.to });
+            self.inboxes[conn.from as usize].deliver(Packet::PeerGone { peer: conn.to });
         }
     }
 }
@@ -371,6 +370,17 @@ impl ReactorTransport {
         cfg: BatchConfig,
         obs: Option<Arc<MetricsRegistry>>,
     ) -> io::Result<(Mailboxes, Arc<ReactorTransport>)> {
+        let (mailboxes, inboxes) = inboxes(n, None);
+        Ok((mailboxes, Self::from_inboxes(inboxes, cfg, obs)?))
+    }
+
+    /// The mesh over inboxes built by [`inboxes`], one per machine.
+    pub(crate) fn from_inboxes(
+        inboxes: Vec<Inbox>,
+        cfg: BatchConfig,
+        obs: Option<Arc<MetricsRegistry>>,
+    ) -> io::Result<Arc<ReactorTransport>> {
+        let n = inboxes.len();
         let epoch = Instant::now();
         let nthreads = pool_size(n);
 
@@ -380,14 +390,6 @@ impl ReactorTransport {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
             listeners.push(listener);
-        }
-
-        let mut txs = Vec::with_capacity(n);
-        let mut mailboxes: Mailboxes = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            mailboxes.push(Box::new(ReactorMailbox { machine: i as u16, rx }));
         }
 
         // Accept side: collect the n-1 inbound streams per machine (the
@@ -496,7 +498,7 @@ impl ReactorTransport {
         let core = Arc::new(Core {
             epoch,
             cfg,
-            local_txs: txs,
+            inboxes,
             measured_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
             shutting_down: AtomicBool::new(false),
             hints,
@@ -539,7 +541,7 @@ impl ReactorTransport {
             .set(threads)
             .unwrap_or_else(|_| unreachable!("reactor pool registered twice"));
         *lock(&transport.reactors) = handles;
-        Ok((mailboxes, transport))
+        Ok(transport)
     }
 
     /// Frames appended to outbound batch buffers so far (loopback
@@ -570,7 +572,7 @@ impl ReactorTransport {
         }
         // Wake the readers on both sides of every cut stream so the EOF
         // is noticed now, not at the next safety sweep.
-        let n = self.core.local_txs.len();
+        let n = self.core.inboxes.len();
         for other in 0..n {
             if other != m {
                 self.core.hint(machine, other as u16);
@@ -586,14 +588,14 @@ impl Transport for ReactorTransport {
     }
 
     fn machines(&self) -> usize {
-        self.core.local_txs.len()
+        self.core.inboxes.len()
     }
 
     fn deliver(&self, from: u16, to: u16, packet: Packet) {
         if from == to {
             // Loopback: local RPCs never touch the socket, matching the
             // cost model's zero wire time for them.
-            let _ = self.core.local_txs[to as usize].send(packet);
+            self.core.inboxes[to as usize].deliver(packet);
             return;
         }
         let Some(conn) = self.conns[from as usize][to as usize].as_ref() else {
@@ -616,7 +618,7 @@ impl Transport for ReactorTransport {
             drop(o);
             let _ = conn.stream.shutdown(Shutdown::Both);
             if !core.shutting_down.load(Ordering::SeqCst) {
-                let _ = core.local_txs[from as usize].send(Packet::PeerGone { peer: to });
+                core.inboxes[from as usize].deliver(Packet::PeerGone { peer: to });
             }
             return;
         }
@@ -816,7 +818,7 @@ fn drain_frames(core: &Core, ib: &mut Inbound) -> bool {
                 let now_ns = core.epoch.elapsed().as_nanos() as u64;
                 core.measured_ns[ib.me as usize]
                     .fetch_add(now_ns.saturating_sub(sent_ns), Ordering::Relaxed);
-                if core.local_txs[ib.me as usize].send(packet).is_err() {
+                if !core.inboxes[ib.me as usize].deliver(packet) {
                     finish(core, ib, false);
                     break;
                 }
@@ -835,36 +837,14 @@ fn finish(core: &Core, ib: &mut Inbound, peer_gone: bool) {
     }
     ib.done = true;
     if peer_gone && !core.shutting_down.load(Ordering::SeqCst) {
-        let _ = core.local_txs[ib.me as usize].send(Packet::PeerGone { peer: ib.peer });
-    }
-}
-
-struct ReactorMailbox {
-    machine: u16,
-    rx: Receiver<Packet>,
-}
-
-impl Mailbox for ReactorMailbox {
-    fn machine(&self) -> u16 {
-        self.machine
-    }
-
-    fn recv(&self) -> Result<Packet, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    fn try_recv(&self) -> Result<Option<Packet>, RecvError> {
-        match self.rx.try_recv() {
-            Ok(p) => Ok(Some(p)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
-        }
+        core.inboxes[ib.me as usize].deliver(Packet::PeerGone { peer: ib.peer });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::RecvError;
 
     fn reply(req_id: u64, bytes: usize) -> Packet {
         Packet::Reply { req_id, payload: vec![7; bytes], err: None }

@@ -16,18 +16,20 @@
 //! that sees its stream die *without* the flag raised reports
 //! [`Packet::PeerGone`] to its machine's mailbox: that is how a crashed
 //! peer becomes an orderly remote error instead of silent quiescence.
+//!
+//! Each reader reads through one reused 64 KiB buffer, so a single
+//! `read` can yield a frame's length, its body and any frames queued
+//! behind it; a frame that is whole in the buffer is decoded in place.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-
 use crate::packet::Packet;
-use crate::transport::{Mailbox, Mailboxes, RecvError, Transport, TransportKind};
+use crate::transport::{inboxes, Inbox, Mailboxes, Transport, TransportKind};
 
 /// Hello preamble: magic + the connecting machine's id, so the acceptor
 /// knows which peer each inbound stream belongs to. Shared with the
@@ -43,6 +45,10 @@ pub(crate) use crate::packet::MAX_FRAME;
 /// Blocked readers wake at least this often to check the shutdown flag
 /// (the FIN from an orderly shutdown wakes them immediately anyway).
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Per-connection receive buffer: one `read` fills it with as many
+/// queued frames as the socket holds, up to this size.
+const RX_BUFFER: usize = 64 * 1024;
 
 /// A stalled peer gets this long before a write is abandoned.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -72,8 +78,8 @@ pub struct TcpTransport {
     /// `writers[from][to]`: the sending half of the (from → to) stream.
     /// Diagonal entries are `None` (loopback bypasses the socket).
     writers: Vec<Vec<Mutex<Option<WriterState>>>>,
-    /// Loopback + PeerGone injection path into each machine's mailbox.
-    local_txs: Vec<Sender<Packet>>,
+    /// Loopback + PeerGone injection path into each machine.
+    inboxes: Vec<Inbox>,
     /// Measured in-flight nanoseconds, indexed by receiving machine.
     measured_ns: Arc<Vec<AtomicU64>>,
     shutting_down: Arc<AtomicBool>,
@@ -86,6 +92,13 @@ impl TcpTransport {
     /// returns once every stream is established and every reader thread
     /// is running.
     pub fn new(n: usize) -> io::Result<(Mailboxes, Arc<TcpTransport>)> {
+        let (mailboxes, inboxes) = inboxes(n, None);
+        Ok((mailboxes, TcpTransport::from_inboxes(inboxes)?))
+    }
+
+    /// The mesh over inboxes built by [`inboxes`], one per machine.
+    pub(crate) fn from_inboxes(inboxes: Vec<Inbox>) -> io::Result<Arc<TcpTransport>> {
+        let n = inboxes.len();
         let epoch = Instant::now();
         let shutting_down = Arc::new(AtomicBool::new(false));
         let measured_ns: Arc<Vec<AtomicU64>> =
@@ -99,20 +112,12 @@ impl TcpTransport {
             listeners.push(listener);
         }
 
-        let mut txs = Vec::with_capacity(n);
-        let mut mailboxes: Mailboxes = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            mailboxes.push(Box::new(TcpMailbox { machine: i as u16, rx }));
-        }
-
         // Accept side: each machine accepts n-1 inbound streams and
         // spawns one reader thread per peer. Acceptors finish during
         // construction, so only reader threads outlive it.
         let mut acceptors = Vec::with_capacity(n);
         for (j, listener) in listeners.into_iter().enumerate() {
-            let tx = txs[j].clone();
+            let inbox = inboxes[j].clone();
             let flag = shutting_down.clone();
             let measured = measured_ns.clone();
             acceptors.push(thread::Builder::new().name(format!("corm-tcp-accept-{j}")).spawn(
@@ -131,14 +136,16 @@ impl TcpTransport {
                             ));
                         }
                         let peer = u16::from_le_bytes([hello[2], hello[3]]);
-                        let tx = tx.clone();
+                        let inbox = inbox.clone();
                         let flag = flag.clone();
                         let measured = measured.clone();
                         handles.push(
                             thread::Builder::new()
                                 .name(format!("corm-tcp-rx-{peer}-to-{j}"))
                                 .spawn(move || {
-                                    reader_loop(stream, peer, j as u16, tx, flag, measured, epoch)
+                                    reader_loop(
+                                        stream, peer, j as u16, inbox, flag, measured, epoch,
+                                    )
                                 })?,
                         );
                     }
@@ -184,7 +191,7 @@ impl TcpTransport {
         let transport = Arc::new(TcpTransport {
             epoch,
             writers,
-            local_txs: txs,
+            inboxes,
             measured_ns,
             shutting_down,
             readers: Mutex::new(readers),
@@ -194,7 +201,7 @@ impl TcpTransport {
             transport.shutdown();
             return Err(e);
         }
-        Ok((mailboxes, transport))
+        Ok(transport)
     }
 
     /// Abruptly close every stream touching `machine` *without* raising
@@ -221,14 +228,14 @@ impl Transport for TcpTransport {
     }
 
     fn machines(&self) -> usize {
-        self.local_txs.len()
+        self.inboxes.len()
     }
 
     fn deliver(&self, from: u16, to: u16, packet: Packet) {
         if from == to {
             // Loopback: local RPCs never touch the socket, matching the
             // cost model's zero wire time for them.
-            let _ = self.local_txs[to as usize].send(packet);
+            self.inboxes[to as usize].deliver(packet);
             return;
         }
         let mut guard = lock(&self.writers[from as usize][to as usize]);
@@ -252,7 +259,7 @@ impl Transport for TcpTransport {
                 // instead of the packet being silently swallowed.
                 *guard = None;
                 if !self.shutting_down.load(Ordering::SeqCst) {
-                    let _ = self.local_txs[from as usize].send(Packet::PeerGone { peer: to });
+                    self.inboxes[from as usize].deliver(Packet::PeerGone { peer: to });
                 }
             }
         }
@@ -345,7 +352,7 @@ pub(crate) fn open_stream(addr: SocketAddr, from: u16) -> io::Result<TcpStream> 
 /// orderly-shutdown timeout) arrived *before* any byte of this read;
 /// mid-read termination is an error.
 fn read_exact_or_eof(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     shutting_down: &AtomicBool,
 ) -> io::Result<bool> {
@@ -372,77 +379,75 @@ fn read_exact_or_eof(
     Ok(true)
 }
 
+/// Read and decode the next frame. `Ok(None)` is a clean EOF or an
+/// orderly shutdown between frames; a mid-frame EOF, an out-of-bounds
+/// length or an undecodable body is an error. A body already whole in
+/// the receive buffer is decoded in place; any other is read into
+/// `spill`, which keeps up to [`RX_BUFFER`] of capacity across frames.
+fn read_frame(
+    rx: &mut BufReader<TcpStream>,
+    spill: &mut Vec<u8>,
+    shutting_down: &AtomicBool,
+) -> io::Result<Option<(Packet, u64)>> {
+    let mut len_buf = [0u8; 4];
+    if !read_exact_or_eof(rx, &mut len_buf, shutting_down)? {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(len_buf) as usize;
+    if !(9..=MAX_FRAME).contains(&len) {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length out of bounds"));
+    }
+    let corrupt = |e: corm_wire::WireError| io::Error::new(io::ErrorKind::InvalidData, e.0);
+    if rx.buffer().len() >= len {
+        let decoded = Packet::decode_body(&rx.buffer()[..len]).map_err(corrupt)?;
+        rx.consume(len);
+        return Ok(Some(decoded));
+    }
+    spill.clear();
+    spill.resize(len, 0);
+    if !read_exact_or_eof(rx, spill, shutting_down)? {
+        return Ok(None);
+    }
+    let decoded = Packet::decode_body(spill).map_err(corrupt)?;
+    if spill.capacity() > RX_BUFFER {
+        *spill = Vec::new(); // an outsized frame's buffer is not kept per stream
+    }
+    Ok(Some(decoded))
+}
+
 /// Per-connection reader: reassembles frames from the (peer → me)
-/// stream, stamps measured wire time, and forwards packets to the
-/// machine's mailbox. Any non-orderly termination of the stream is
+/// stream, stamps measured wire time, and delivers packets to the
+/// machine's inbox. Any non-orderly termination of the stream is
 /// reported as [`Packet::PeerGone`].
 fn reader_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     peer: u16,
     me: u16,
-    tx: Sender<Packet>,
+    inbox: Inbox,
     shutting_down: Arc<AtomicBool>,
     measured_ns: Arc<Vec<AtomicU64>>,
     epoch: Instant,
 ) {
-    loop {
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut stream, &mut len_buf, &shutting_down) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => break,
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if !(9..=MAX_FRAME).contains(&len) {
-            break; // corrupt stream
-        }
-        let mut body = vec![0u8; len];
-        match read_exact_or_eof(&mut stream, &mut body, &shutting_down) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => break,
-        }
-        match Packet::decode_body(&body) {
-            Ok((packet, sent_ns)) => {
-                let now_ns = epoch.elapsed().as_nanos() as u64;
-                measured_ns[me as usize]
-                    .fetch_add(now_ns.saturating_sub(sent_ns), Ordering::Relaxed);
-                if tx.send(packet).is_err() {
-                    return; // mailbox gone: machine already torn down
-                }
-            }
-            Err(_) => break, // corrupt stream
+    let mut rx = BufReader::with_capacity(RX_BUFFER, stream);
+    let mut spill = Vec::new();
+    // A clean EOF, an orderly shutdown, a mid-frame EOF and a corrupt
+    // frame all end the stream; only the flag tells them apart.
+    while let Ok(Some((packet, sent_ns))) = read_frame(&mut rx, &mut spill, &shutting_down) {
+        let now_ns = epoch.elapsed().as_nanos() as u64;
+        measured_ns[me as usize].fetch_add(now_ns.saturating_sub(sent_ns), Ordering::Relaxed);
+        if !inbox.deliver(packet) {
+            return; // mailbox gone: machine already torn down
         }
     }
     if !shutting_down.load(Ordering::SeqCst) {
-        let _ = tx.send(Packet::PeerGone { peer });
-    }
-}
-
-struct TcpMailbox {
-    machine: u16,
-    rx: Receiver<Packet>,
-}
-
-impl Mailbox for TcpMailbox {
-    fn machine(&self) -> u16 {
-        self.machine
-    }
-
-    fn recv(&self) -> Result<Packet, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    fn try_recv(&self) -> Result<Option<Packet>, RecvError> {
-        match self.rx.try_recv() {
-            Ok(p) => Ok(Some(p)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
-        }
+        inbox.deliver(Packet::PeerGone { peer });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::RecvError;
 
     #[test]
     fn mesh_roundtrip_and_measured_time() {
@@ -478,6 +483,31 @@ mod tests {
         for i in 0..200u64 {
             match mailboxes[1].recv().unwrap() {
                 Packet::Reply { req_id, .. } => assert_eq!(req_id, i),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        t.shutdown();
+    }
+
+    #[test]
+    fn frames_beyond_and_across_the_receive_buffer_arrive_intact() {
+        // Small frames decode in place from the receive buffer; a frame
+        // larger than the buffer, and frames straddling its end, take
+        // the spill path. Contents and order must not depend on which.
+        let (mailboxes, t) = TcpTransport::new(2).unwrap();
+        let sizes: Vec<usize> =
+            (0..40).map(|i| [3, 5000, 70_000, 1, RX_BUFFER * 3][i % 5]).collect();
+        for (i, &len) in sizes.iter().enumerate() {
+            let payload = (0..len).map(|b| (b + i) as u8).collect();
+            t.deliver(0, 1, Packet::Reply { req_id: i as u64, payload, err: None });
+        }
+        for (i, &len) in sizes.iter().enumerate() {
+            match mailboxes[1].recv().unwrap() {
+                Packet::Reply { req_id, payload, .. } => {
+                    assert_eq!(req_id, i as u64);
+                    assert_eq!(payload.len(), len);
+                    assert!(payload.iter().enumerate().all(|(b, &v)| v == (b + i) as u8));
+                }
                 other => panic!("unexpected {other:?}"),
             }
         }

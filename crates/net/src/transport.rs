@@ -4,8 +4,15 @@
 //! accounting (message counts, wire bytes, modeled wire time) before
 //! handing the packet to the selected [`Transport`] backend, so counters
 //! and Tables 4/6/8 accounting are identical no matter what carries the
-//! bytes. Two backends exist: the in-process channel fabric in this
-//! module (the default) and a real loopback-TCP mesh in [`crate::tcp`].
+//! bytes. Four backends exist: the in-process channel fabric in this
+//! module (the default), the loopback-TCP mesh in [`crate::tcp`], the
+//! reactor mesh in [`crate::reactor`] and the lossy datagram fabric in
+//! [`crate::lossy`].
+//!
+//! Every backend hands received packets to the target machine's
+//! [`Inbox`]: the mailbox sender plus an optional [`ReplySink`]. With a
+//! sink installed, a `Reply` completes its caller on the thread that
+//! received it and never enters the mailbox (DESIGN §17).
 
 use std::fmt;
 use std::io;
@@ -20,7 +27,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use crate::cost::CostModel;
 use crate::lossy::{LossSpec, LossyTransport};
 use crate::packet::Packet;
-use crate::reactor::ReactorTransport;
+use crate::reactor::{BatchConfig, ReactorTransport};
 use crate::tcp::TcpTransport;
 
 /// Why a receive could not produce a packet.
@@ -50,6 +57,82 @@ pub trait Mailbox: Send {
 /// Every machine's receive side, indexed by machine id — what transport
 /// constructors hand to the VM.
 pub type Mailboxes = Vec<Box<dyn Mailbox>>;
+
+/// Where a machine's replies go instead of its mailbox. The VM installs
+/// one per machine, so the thread that receives a reply — the sender's
+/// own thread on the channel fabric, a reader or event-loop thread on
+/// the sockets, the fabric thread on lossy — completes the waiting call
+/// directly, without a hop through the drain loop.
+pub trait ReplySink: Send + Sync {
+    /// Complete request `req_id` with its serialized return value, or
+    /// with the remote exception text `err`.
+    fn reply(&self, req_id: u64, payload: Vec<u8>, err: Option<String>);
+}
+
+/// One reply sink per machine, indexed by machine id.
+pub type ReplySinks = Vec<Arc<dyn ReplySink>>;
+
+/// One machine's delivery handle, shared by every thread that receives
+/// packets for it: replies go to the sink when one is installed, every
+/// other packet (and every reply without a sink) to the mailbox.
+#[derive(Clone)]
+pub(crate) struct Inbox {
+    tx: Sender<Packet>,
+    sink: Option<Arc<dyn ReplySink>>,
+}
+
+impl Inbox {
+    /// Hand `packet` to the machine. Returns `false` when the mailbox is
+    /// gone (the machine was already torn down).
+    pub(crate) fn deliver(&self, packet: Packet) -> bool {
+        match (packet, &self.sink) {
+            (Packet::Reply { req_id, payload, err }, Some(sink)) => {
+                sink.reply(req_id, payload, err);
+                true
+            }
+            (packet, _) => self.tx.send(packet).is_ok(),
+        }
+    }
+}
+
+/// One inbox and one mailbox per machine. `sinks`, when given, holds one
+/// reply sink per machine.
+pub(crate) fn inboxes(n: usize, sinks: Option<ReplySinks>) -> (Mailboxes, Vec<Inbox>) {
+    let mut sinks = sinks.map(Vec::into_iter);
+    let mut mailboxes: Mailboxes = Vec::with_capacity(n);
+    let mut inboxes = Vec::with_capacity(n);
+    for i in 0..n {
+        let (tx, rx) = unbounded();
+        let sink = sinks.as_mut().map(|s| s.next().expect("one reply sink per machine"));
+        inboxes.push(Inbox { tx, sink });
+        mailboxes.push(Box::new(QueueMailbox { machine: i as u16, rx }));
+    }
+    (mailboxes, inboxes)
+}
+
+/// The receive side every backend shares: the queue its inbox feeds.
+struct QueueMailbox {
+    machine: u16,
+    rx: Receiver<Packet>,
+}
+
+impl Mailbox for QueueMailbox {
+    fn machine(&self) -> u16 {
+        self.machine
+    }
+
+    fn recv(&self) -> Result<Packet, RecvError> {
+        self.rx.recv().map_err(|_| RecvError::Disconnected)
+    }
+
+    fn try_recv(&self) -> Result<Option<Packet>, RecvError> {
+        match self.rx.try_recv() {
+            Ok(p) => Ok(Some(p)),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
+        }
+    }
+}
 
 /// A packet carrier: moves already-accounted packets between machines.
 /// Implementations must preserve per-(sender, receiver) FIFO order —
@@ -135,9 +218,10 @@ impl FromStr for TransportKind {
     }
 }
 
-/// The original in-process fabric: one unbounded channel per machine.
+/// The original in-process fabric: the sending thread delivers straight
+/// into the target's inbox.
 pub struct ChannelTransport {
-    senders: Vec<Sender<Packet>>,
+    inboxes: Vec<Inbox>,
     /// Machines killed by [`Transport::sever`]: packets to or from them
     /// are dropped, mirroring the TCP backend's cut streams.
     severed: std::sync::Mutex<std::collections::HashSet<u16>>,
@@ -145,14 +229,13 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     pub fn new(n: usize) -> (Mailboxes, Arc<ChannelTransport>) {
-        let mut senders = Vec::with_capacity(n);
-        let mut mailboxes: Mailboxes = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            mailboxes.push(Box::new(ChannelMailbox { machine: i as u16, rx }));
-        }
-        (mailboxes, Arc::new(ChannelTransport { senders, severed: Default::default() }))
+        let (mailboxes, inboxes) = inboxes(n, None);
+        (mailboxes, ChannelTransport::from_inboxes(inboxes))
+    }
+
+    /// The fabric over inboxes built by [`inboxes`].
+    pub(crate) fn from_inboxes(inboxes: Vec<Inbox>) -> Arc<ChannelTransport> {
+        Arc::new(ChannelTransport { inboxes, severed: Default::default() })
     }
 }
 
@@ -162,7 +245,7 @@ impl Transport for ChannelTransport {
     }
 
     fn machines(&self) -> usize {
-        self.senders.len()
+        self.inboxes.len()
     }
 
     fn deliver(&self, from: u16, to: u16, packet: Packet) {
@@ -175,7 +258,7 @@ impl Transport for ChannelTransport {
                 return; // the dead machine neither sends nor receives
             }
         }
-        let _ = self.senders[to as usize].send(packet);
+        self.inboxes[to as usize].deliver(packet);
     }
 
     fn measured_wire_ns(&self, _machine: u16) -> u64 {
@@ -186,37 +269,14 @@ impl Transport for ChannelTransport {
         if !self.severed.lock().unwrap().insert(machine) {
             return; // already dead; one PeerGone per death
         }
-        for (i, tx) in self.senders.iter().enumerate() {
+        for (i, inbox) in self.inboxes.iter().enumerate() {
             if i as u16 != machine {
-                let _ = tx.send(Packet::PeerGone { peer: machine });
+                inbox.deliver(Packet::PeerGone { peer: machine });
             }
         }
     }
 
     fn shutdown(&self) {}
-}
-
-struct ChannelMailbox {
-    machine: u16,
-    rx: Receiver<Packet>,
-}
-
-impl Mailbox for ChannelMailbox {
-    fn machine(&self) -> u16 {
-        self.machine
-    }
-
-    fn recv(&self) -> Result<Packet, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    fn try_recv(&self) -> Result<Option<Packet>, RecvError> {
-        match self.rx.try_recv() {
-            Ok(p) => Ok(Some(p)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
-        }
-    }
 }
 
 /// Shared sending fabric: any thread can send to any machine.
@@ -248,14 +308,15 @@ impl NetHandle {
         cost: CostModel,
         obs: Arc<MetricsRegistry>,
     ) -> io::Result<(Mailboxes, NetHandle)> {
-        Self::with_kind_config(kind, n, cost, obs, None, None)
+        Self::with_kind_config(kind, n, cost, obs, None, None, None)
     }
 
     /// [`NetHandle::with_kind`] plus backend configuration the VM owns:
     /// the seeded loss model for the lossy backend (`None` selects
-    /// [`LossSpec::default`]) and the flight recorder that retransmit /
-    /// dup-suppression events land in. Both are ignored by the
-    /// reliable backends.
+    /// [`LossSpec::default`]), the flight recorder that retransmit /
+    /// dup-suppression events land in (both ignored by the reliable
+    /// backends), and one [`ReplySink`] per machine. Without sinks every
+    /// reply reaches its target's mailbox.
     pub fn with_kind_config(
         kind: TransportKind,
         n: usize,
@@ -263,33 +324,25 @@ impl NetHandle {
         obs: Arc<MetricsRegistry>,
         loss: Option<LossSpec>,
         flight: Option<Arc<FlightRecorder>>,
+        sinks: Option<ReplySinks>,
     ) -> io::Result<(Mailboxes, NetHandle)> {
         debug_assert!(obs.num_machines() >= n, "registry must cover every machine");
-        let (mailboxes, transport): (Mailboxes, Arc<dyn Transport>) = match kind {
-            TransportKind::Channel => {
-                let (mb, t) = ChannelTransport::new(n);
-                (mb, t)
-            }
-            TransportKind::Tcp => {
-                let (mb, t) = TcpTransport::new(n)?;
-                (mb, t)
-            }
+        let (mailboxes, inboxes) = inboxes(n, sinks);
+        let transport: Arc<dyn Transport> = match kind {
+            TransportKind::Channel => ChannelTransport::from_inboxes(inboxes),
+            TransportKind::Tcp => TcpTransport::from_inboxes(inboxes)?,
+            // The reactor feeds its deep gauges (coalescing counters,
+            // flush reasons, buffer occupancy, loop latency) into the
+            // registry shards for the timeline sampler.
             TransportKind::Reactor => {
-                // The reactor feeds its deep gauges (coalescing counters,
-                // flush reasons, buffer occupancy, loop latency) into the
-                // registry shards for the timeline sampler.
-                let (mb, t) = ReactorTransport::with_obs(n, obs.clone())?;
-                (mb, t)
+                ReactorTransport::from_inboxes(inboxes, BatchConfig::default(), Some(obs.clone()))?
             }
-            TransportKind::Lossy => {
-                let (mb, t) = LossyTransport::with_obs(
-                    n,
-                    loss.unwrap_or_default(),
-                    Some(obs.clone()),
-                    flight,
-                );
-                (mb, t)
-            }
+            TransportKind::Lossy => LossyTransport::from_inboxes(
+                inboxes,
+                loss.unwrap_or_default(),
+                Some(obs.clone()),
+                flight,
+            ),
         };
         Ok((mailboxes, NetHandle { transport, obs, cost, modeled_ns: Arc::new(AtomicU64::new(0)) }))
     }
@@ -515,6 +568,101 @@ mod tests {
         }
         assert_eq!(mailboxes[0].try_recv().unwrap(), None, "exactly one PeerGone per death");
         net.shutdown();
+    }
+
+    /// One reply as a sink saw it: request id, payload, error text.
+    type Got = (u64, Vec<u8>, Option<String>);
+
+    /// Records every reply handed to it, for the routing tests.
+    #[derive(Default)]
+    struct Collect(std::sync::Mutex<Vec<Got>>);
+
+    impl ReplySink for Collect {
+        fn reply(&self, req_id: u64, payload: Vec<u8>, err: Option<String>) {
+            self.0.lock().unwrap().push((req_id, payload, err));
+        }
+    }
+
+    /// Poll until `sink` holds `n` replies; wire backends deliver on
+    /// their own threads.
+    fn await_replies(sink: &Collect, n: usize, kind: TransportKind) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while sink.0.lock().unwrap().len() < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{kind:?}: replies never reached the sink"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn replies_reach_the_sink_and_everything_else_the_mailbox() {
+        for kind in ALL_KINDS {
+            let n = 3;
+            let collectors: Vec<Arc<Collect>> = (0..n).map(|_| Arc::default()).collect();
+            let sinks: ReplySinks =
+                collectors.iter().map(|c| c.clone() as Arc<dyn ReplySink>).collect();
+            let (mailboxes, net) = NetHandle::with_kind_config(
+                kind,
+                n,
+                CostModel::default(),
+                Arc::new(MetricsRegistry::new(n)),
+                None,
+                None,
+                Some(sinks),
+            )
+            .expect("fabric construction");
+            let request = Packet::Request {
+                req_id: 4,
+                from: 0,
+                site: 1,
+                target_obj: 2,
+                payload: vec![5],
+                oneway: false,
+            };
+            // Machine 1 gets a request, a reply (cross-machine and
+            // loopback) and an allocation, in that order.
+            net.send(0, 1, request.clone());
+            net.send(0, 1, Packet::Reply { req_id: 8, payload: vec![1, 2], err: None });
+            net.send(1, 1, Packet::Reply { req_id: 9, payload: vec![], err: Some("e".into()) });
+            net.send(0, 1, Packet::NewRemote { req_id: 10, from: 0, class: 3 });
+            assert_eq!(mailboxes[1].recv().unwrap(), request, "{kind:?}");
+            assert_eq!(
+                mailboxes[1].recv().unwrap(),
+                Packet::NewRemote { req_id: 10, from: 0, class: 3 },
+                "{kind:?}: a reply reached the mailbox"
+            );
+            await_replies(&collectors[1], 2, kind);
+            let mut got = collectors[1].0.lock().unwrap().clone();
+            got.sort();
+            assert_eq!(got, vec![(8, vec![1, 2], None), (9, vec![], Some("e".into()))], "{kind:?}");
+            // PeerGone is a mailbox packet too.
+            net.sever(2);
+            assert_eq!(mailboxes[1].recv().unwrap(), Packet::PeerGone { peer: 2 }, "{kind:?}");
+            assert_eq!(mailboxes[1].try_recv().unwrap(), None, "{kind:?}");
+            assert!(collectors[0].0.lock().unwrap().is_empty(), "{kind:?}: wrong machine's sink");
+            net.shutdown();
+        }
+    }
+
+    #[test]
+    fn without_sinks_replies_reach_the_mailbox() {
+        for kind in ALL_KINDS {
+            let (mailboxes, net) = fabric_of(kind, 2);
+            net.send(0, 1, Packet::Reply { req_id: 3, payload: vec![7], err: None });
+            net.send(1, 1, Packet::Reply { req_id: 4, payload: vec![], err: None });
+            // Two links, so either may land first.
+            let mut got: Vec<u64> = (0..2)
+                .map(|_| match mailboxes[1].recv().unwrap() {
+                    Packet::Reply { req_id, .. } => req_id,
+                    other => panic!("{kind:?}: unexpected {other:?}"),
+                })
+                .collect();
+            got.sort();
+            assert_eq!(got, vec![3, 4], "{kind:?}");
+            net.shutdown();
+        }
     }
 
     #[test]

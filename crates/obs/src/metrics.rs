@@ -121,6 +121,10 @@ pub struct MachineMetrics {
     /// Reply-cache entries evicted by the capacity bound before any
     /// duplicate consulted them.
     pub reply_cache_evictions: AtomicU64,
+    /// Replies that arrived for a call no longer waiting — a duplicate
+    /// copy, or one landing after `PeerGone` failed the call — and were
+    /// dropped.
+    pub stale_replies: AtomicU64,
 }
 
 /// Per-call-site metrics (cluster-wide scope: a site's calls may
@@ -218,6 +222,7 @@ impl MetricsRegistry {
             m.lossy_dups_suppressed.store(0, Ordering::Relaxed);
             m.reply_cache_hits.store(0, Ordering::Relaxed);
             m.reply_cache_evictions.store(0, Ordering::Relaxed);
+            m.stale_replies.store(0, Ordering::Relaxed);
         }
         self.sites.lock().clear();
         self.timeline.clear();
@@ -262,6 +267,7 @@ impl MetricsRegistry {
             lossy_dups_suppressed: m.lossy_dups_suppressed.load(Ordering::Relaxed),
             reply_cache_hits: m.reply_cache_hits.load(Ordering::Relaxed),
             reply_cache_evictions: m.reply_cache_evictions.load(Ordering::Relaxed),
+            stale_replies: m.stale_replies.load(Ordering::Relaxed),
         }
     }
 
@@ -320,6 +326,7 @@ pub struct MachineSnapshot {
     pub lossy_dups_suppressed: u64,
     pub reply_cache_hits: u64,
     pub reply_cache_evictions: u64,
+    pub stale_replies: u64,
 }
 
 impl MachineSnapshot {
@@ -523,11 +530,13 @@ mod tests {
         reg.machine(1).lossy_dups_suppressed.fetch_add(3, Ordering::Relaxed);
         reg.machine(1).reply_cache_hits.fetch_add(2, Ordering::Relaxed);
         reg.machine(1).reply_cache_evictions.fetch_add(1, Ordering::Relaxed);
+        reg.machine(0).stale_replies.fetch_add(6, Ordering::Relaxed);
         let snap = reg.snapshot();
         assert_eq!(snap.machines[0].lossy_retransmits, 4);
         assert_eq!(snap.machines[1].lossy_dups_suppressed, 3);
         assert_eq!(snap.machines[1].reply_cache_hits, 2);
         assert_eq!(snap.machines[1].reply_cache_evictions, 1);
+        assert_eq!(snap.machines[0].stale_replies, 6);
         reg.reset();
         let snap = reg.snapshot();
         for m in &snap.machines {
@@ -535,7 +544,8 @@ mod tests {
                 m.lossy_retransmits
                     + m.lossy_dups_suppressed
                     + m.reply_cache_hits
-                    + m.reply_cache_evictions,
+                    + m.reply_cache_evictions
+                    + m.stale_replies,
                 0
             );
         }

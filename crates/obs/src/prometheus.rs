@@ -307,6 +307,12 @@ pub fn render_prometheus(m: &MetricsSnapshot) -> String {
         "Reply-cache entries evicted by the FIFO bound",
         &per_machine_pool(&|ms| ms.reply_cache_evictions),
     );
+    counter(
+        &mut out,
+        "corm_stale_replies_total",
+        "Replies dropped because their call was no longer waiting (duplicate or failed)",
+        &per_machine_pool(&|ms| ms.stale_replies),
+    );
 
     // Reactor coalescing and queue-depth series (DESIGN §14/§15): the
     // per-flush batch histogram plus flush-reason counters expose how
@@ -554,6 +560,7 @@ mod tests {
         reg.machine(1).lossy_dups_suppressed.fetch_add(3, std::sync::atomic::Ordering::Relaxed);
         reg.machine(1).reply_cache_hits.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
         reg.machine(1).reply_cache_evictions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        reg.machine(0).stale_replies.fetch_add(4, std::sync::atomic::Ordering::Relaxed);
         let text = render_prometheus(&reg.snapshot());
         assert!(text.contains("# TYPE corm_lossy_retransmits_total counter"));
         assert!(text.contains(r#"corm_lossy_retransmits_total{machine="0"} 5"#));
@@ -564,6 +571,9 @@ mod tests {
         assert!(text.contains(r#"corm_reply_cache_hits_total{machine="1"} 2"#));
         assert!(text.contains("# TYPE corm_reply_cache_evictions_total counter"));
         assert!(text.contains(r#"corm_reply_cache_evictions_total{machine="1"} 1"#));
+        assert!(text.contains("# TYPE corm_stale_replies_total counter"));
+        assert!(text.contains(r#"corm_stale_replies_total{machine="0"} 4"#));
+        assert!(text.contains(r#"corm_stale_replies_total{machine="1"} 0"#));
     }
 
     #[test]

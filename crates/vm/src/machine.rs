@@ -7,6 +7,8 @@ use std::thread::Thread;
 
 use corm_heap::{Heap, ObjRef, Value};
 use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
+use corm_net::ReplySink;
+use corm_obs::MetricsRegistry;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{VmError, VmResult};
@@ -19,8 +21,8 @@ pub struct VmQueue {
 }
 
 /// One outstanding two-way RMI (DESIGN §17): the calling thread parks
-/// on its own slot, and the drain loop fills it and unparks exactly that
-/// thread — no other waiter on the machine wakes.
+/// on its own slot, and the thread that receives the reply fills it and
+/// unparks exactly that thread — no other waiter on the machine wakes.
 #[derive(Debug)]
 pub struct ReplySlot {
     /// Machine the request went to — recorded so that when a peer dies,
@@ -348,6 +350,33 @@ impl MachineShared {
     }
 }
 
+/// A machine's reply sink (DESIGN §17): whichever thread receives a
+/// reply for this machine completes the caller's slot and unparks it,
+/// so no reply crosses the mailbox and the drain thread. It touches only
+/// the reply table, never `state`, so a reply lands even while another
+/// thread holds the heap lock.
+pub(crate) struct ReplyRoute {
+    pub(crate) machine: Arc<MachineShared>,
+    pub(crate) obs: Arc<MetricsRegistry>,
+}
+
+impl ReplySink for ReplyRoute {
+    fn reply(&self, req_id: u64, payload: Vec<u8>, err: Option<String>) {
+        let result = match err {
+            Some(e) => Err(e),
+            None => Ok(payload),
+        };
+        // Stale replies (the caller already completed via an earlier
+        // copy, or PeerGone failed it) find no slot — under at-least-once
+        // semantics the server's reply cache re-sends replies — and are
+        // dropped, counted.
+        if !self.machine.replies.complete(req_id, result) {
+            let shard = self.obs.machine(self.machine.id);
+            shard.stale_replies.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+}
+
 /// The zero/default value of a MiniParty type.
 pub fn zero_value(ty: &Ty) -> Value {
     match ty {
@@ -483,6 +512,49 @@ mod tests {
             assert!(slot.wait().is_err());
         }
         assert!(!table.complete(1, Ok(Vec::new())), "a failed call cannot complete");
+    }
+
+    #[test]
+    fn a_reply_completes_while_another_thread_holds_the_heap_lock() {
+        let machine = Arc::new(MachineShared::new(0, 0));
+        let route = ReplyRoute { machine: machine.clone(), obs: Arc::new(MetricsRegistry::new(1)) };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = {
+            let machine = machine.clone();
+            std::thread::spawn(move || {
+                let slot = machine.replies.register(5, 1);
+                tx.send(()).unwrap();
+                slot.wait()
+            })
+        };
+        rx.recv().unwrap();
+        // Hold the heap lock for the whole delivery: completing the reply
+        // must neither wait for it nor leave the caller parked.
+        let held = machine.state.lock();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            route.reply(5, vec![42], None);
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("completing a reply waited for the heap lock");
+        assert_eq!(caller.join().unwrap(), Ok(vec![42]), "the caller woke with its reply");
+        drop(held);
+    }
+
+    #[test]
+    fn a_reply_without_a_waiting_call_is_counted_stale() {
+        let machine = Arc::new(MachineShared::new(1, 0));
+        let obs = Arc::new(MetricsRegistry::new(2));
+        let route = ReplyRoute { machine: machine.clone(), obs: obs.clone() };
+        let slot = machine.replies.register(3, 0);
+        route.reply(3, Vec::new(), Some("boom".into()));
+        assert_eq!(slot.wait(), Err("boom".to_string()));
+        route.reply(3, Vec::new(), None); // a duplicate copy
+        route.reply(8, Vec::new(), None); // never asked for
+        assert_eq!(obs.machine_snapshot(1).stale_replies, 2);
+        assert_eq!(obs.machine_snapshot(0).stale_replies, 0);
     }
 
     #[test]

@@ -7,7 +7,8 @@ use corm_codegen::Plans;
 use corm_heap::HeapStats;
 use corm_ir::Module;
 use corm_net::{
-    ClusterBarrier, CostModel, LossSpec, Mailbox, NetHandle, Packet, RecvError, TransportKind,
+    ClusterBarrier, CostModel, LossSpec, Mailbox, NetHandle, Packet, RecvError, ReplySink,
+    ReplySinks, TransportKind,
 };
 use corm_obs::recorder::{
     FlightEvent, FlightKind, DEFAULT_FLIGHT_CAPACITY, TRANSPORT_CHANNEL, TRANSPORT_LOSSY,
@@ -23,7 +24,7 @@ use parking_lot::Mutex;
 
 use crate::error::VmError;
 use crate::interp::Interp;
-use crate::machine::MachineShared;
+use crate::machine::{MachineShared, ReplyRoute};
 use crate::rmi;
 
 /// Options for one program run.
@@ -415,6 +416,19 @@ impl Cluster {
         // backend can land its retransmit / dup-suppression events in
         // the same rings the VM dumps on failure.
         let flight = Arc::new(FlightRecorder::new(opts.machines, opts.flight_capacity));
+        let static_defaults = crate::machine::MachineState::static_defaults(&module.table);
+        let machines: Vec<Arc<MachineShared>> = (0..opts.machines)
+            .map(|i| Arc::new(MachineShared::with_statics(i as u16, static_defaults.clone())))
+            .collect();
+        // The machines exist before the fabric so each can install its
+        // reply sink: replies complete on the thread that receives them
+        // and never enter the mailbox (DESIGN §17).
+        let sinks: ReplySinks = machines
+            .iter()
+            .map(|m| {
+                Arc::new(ReplyRoute { machine: m.clone(), obs: obs.clone() }) as Arc<dyn ReplySink>
+            })
+            .collect();
         let (mailboxes, net) = NetHandle::with_kind_config(
             opts.transport,
             opts.machines,
@@ -422,12 +436,9 @@ impl Cluster {
             obs.clone(),
             opts.loss,
             Some(flight.clone()),
+            Some(sinks),
         )
         .unwrap_or_else(|e| panic!("cannot bring up {} transport: {e}", opts.transport));
-        let static_defaults = crate::machine::MachineState::static_defaults(&module.table);
-        let machines: Vec<Arc<MachineShared>> = (0..opts.machines)
-            .map(|i| Arc::new(MachineShared::with_statics(i as u16, static_defaults.clone())))
-            .collect();
 
         let transport_code = match opts.transport {
             TransportKind::Channel => TRANSPORT_CHANNEL,
@@ -730,8 +741,9 @@ impl Upcall {
 /// The per-machine receive loop: exactly one drainer per machine, as in
 /// the paper's modified GM layer. Two-way requests at upcall-safe sites
 /// run right here, as upcalls; other requests go to the worker pool (or a
-/// dedicated thread for one-way spawns); replies wake their own caller;
-/// `NewRemote` allocations are served inline.
+/// dedicated thread for one-way spawns); `NewRemote` allocations are
+/// served inline. Replies never arrive here: the machine's reply sink
+/// completes them on the thread that receives them.
 fn drain_loop(rt: Arc<Runtime>, mut d: Drainer) {
     let my = d.mailbox.machine();
     loop {
@@ -755,16 +767,8 @@ fn drain_loop(rt: Arc<Runtime>, mut d: Drainer) {
                     .fail(Some(peer), &format!("peer machine {peer} disconnected"));
                 record_failed_reqs(&rt, my, peer, &failed);
             }
-            Packet::Reply { req_id, payload, err } => {
-                // Stale replies (the caller already completed via an
-                // earlier copy, or PeerGone failed it) find no slot —
-                // under at-least-once semantics the server's reply cache
-                // re-sends replies — and are dropped.
-                let result = match err {
-                    Some(e) => Err(e),
-                    None => Ok(payload),
-                };
-                rt.machine(my).replies.complete(req_id, result);
+            Packet::Reply { .. } => {
+                unreachable!("machine {my}: replies complete at the reply sink, not the mailbox")
             }
             Packet::NewRemote { req_id, from, class } => {
                 rt.trace_event(my, crate::trace::TraceKind::NewRemote { class, from });

@@ -217,6 +217,8 @@ fn metrics_are_scoped_per_run_with_no_bleed_through() {
     reg.machine(0).reactor_loop_us.record(40);
     reg.machine(1).pool_outstanding.fetch_add(2, Relaxed);
     reg.machine(1).serve_queue_depth.fetch_add(4, Relaxed);
+    // ... and the reply-path counter a serving run accumulates.
+    reg.machine(0).stale_replies.fetch_add(2, Relaxed);
     reg.timeline().push(0, corm::TimelineSample { t_us: 10, started: 3, ..Default::default() });
     reg.timeline().record_health(corm::HealthEvent {
         t_us: 10,
@@ -242,6 +244,7 @@ fn metrics_are_scoped_per_run_with_no_bleed_through() {
         assert_eq!(m.reactor_loop_us.count, 0);
         assert_eq!(m.pool_outstanding, 0, "pool ledger gauge leaked across reset");
         assert_eq!(m.serve_queue_depth, 0, "serve queue gauge leaked across reset");
+        assert_eq!(m.stale_replies, 0, "stale-reply counter leaked across reset");
     }
     assert!(reg.timeline().is_empty(0), "timeline rings leaked across reset");
     assert!(reg.timeline().health_events().is_empty(), "health findings leaked across reset");

@@ -66,7 +66,17 @@ fn output_matches_the_oracle(wire: TransportKind) {
             "{} output diverged from the oracle under {wire}",
             spec.name
         );
+        // A reliable carrier delivers each reply exactly once, to a call
+        // still waiting for it.
+        if wire != TransportKind::Lossy {
+            assert_eq!(run.stale_replies, 0, "{} saw stale replies under {wire}", spec.name);
+        }
     }
+}
+
+#[test]
+fn channel_output_matches_the_oracle() {
+    output_matches_the_oracle(TransportKind::Channel);
 }
 
 #[test]
@@ -156,6 +166,10 @@ fn lossy_at_least_once_dedups_in_the_vm_with_identical_output() {
     );
     let hits: u64 = out.metrics.machines.iter().map(|m| m.reply_cache_hits).sum();
     assert!(hits > 0, "a 40% duplication rate must exercise the reply cache");
+    // The cache re-sends the original reply to every duplicate request,
+    // and those second copies find their call already completed.
+    let stale: u64 = out.metrics.machines.iter().map(|m| m.stale_replies).sum();
+    assert!(stale > 0, "re-sent replies must surface as stale replies");
 }
 
 #[test]
@@ -436,4 +450,87 @@ upcall_tests! {
         out_of_order_replies_reach_their_own_callers, TransportKind::Lossy;
     channel_out_of_order_replies_reach_their_own_callers =>
         out_of_order_replies_reach_their_own_callers, TransportKind::Channel;
+}
+
+// ----- replies complete on the receiving thread (DESIGN §17) ---------------
+//
+// Both machines call and serve at once: a spawned thread on machine 0
+// calls `add` on machine 1 while a spawned thread on machine 1 calls
+// `add` on machine 0. `add` is upcall-safe, so each drain thread serves
+// requests while the replies to its own machine's caller land on the
+// thread that receives them. `main` joins both callers through a queue
+// (no polling), so every counter is a pure function of the program.
+
+const CROSSFIRE: &str = r#"
+    remote class Acc {
+        long sum;
+        int add(int x) { this.sum = this.sum + x; return x + 1; }
+        long total() { return this.sum; }
+    }
+    remote class Done {
+        Queue q;
+        long got;
+        void open() { this.q = new Queue(4); }
+        void signal(long v) { this.got = this.got + v; this.q.put("done"); }
+        void await() { Object o = this.q.take(); }
+        long total() { return this.got; }
+    }
+    remote class Caller {
+        void run(Acc peer, Done done, int n) {
+            long s = 0;
+            for (int i = 0; i < n; i++) { s += peer.add(i); }
+            done.signal(s);
+        }
+    }
+    class M {
+        static void main() {
+            Acc a0 = new Acc() @ 0;
+            Acc a1 = new Acc() @ 1;
+            Done d = new Done() @ 0;
+            d.open();
+            Caller c0 = new Caller() @ 0;
+            Caller c1 = new Caller() @ 1;
+            spawn c0.run(a1, d, 300);
+            spawn c1.run(a0, d, 200);
+            d.await();
+            d.await();
+            System.println(Str.fromLong(d.total()));
+            System.println(Str.fromLong(a0.total()));
+            System.println(Str.fromLong(a1.total()));
+        }
+    }
+"#;
+
+fn crossfire_matches_the_channel_run(wire: TransportKind) {
+    let compiled = corm::compile(CROSSFIRE, OptConfig::ALL).expect("crossfire program compiles");
+    let run = |transport| {
+        let out = corm::run(&compiled, RunOptions { machines: 2, transport, ..Default::default() });
+        assert_eq!(out.error, None, "{transport}");
+        out
+    };
+    let (chan, other) = (run(TransportKind::Channel), run(wire));
+    // sum(i + 1) over 0..300 and 0..200; each Acc sums its caller's i.
+    assert_eq!(other.output, "65250\n19900\n44850\n", "{wire}");
+    assert_eq!(other.output, chan.output, "{wire}");
+    for (m, (a, b)) in chan.metrics.machines.iter().zip(&other.metrics.machines).enumerate() {
+        assert_eq!(a.stats, b.stats, "{wire}: machine {m} counters diverged");
+        assert_eq!(a.upcalls, b.upcalls, "{wire}: machine {m} upcalls diverged");
+        assert_eq!(a.upcall_handoffs, b.upcall_handoffs, "{wire}: machine {m} hand-offs");
+        assert_eq!(b.stale_replies, 0, "{wire}: machine {m} dropped a reply");
+        assert_eq!(b.reply_cache_hits, 0, "{wire}: machine {m} re-executed a call");
+    }
+    // Each machine's drain thread served the other's calls as upcalls.
+    assert!(other.metrics.machines[0].upcalls >= 200, "{wire}");
+    assert!(other.metrics.machines[1].upcalls >= 300, "{wire}");
+}
+
+upcall_tests! {
+    channel_crossfire_calls_match_the_channel_run =>
+        crossfire_matches_the_channel_run, TransportKind::Channel;
+    tcp_crossfire_calls_match_the_channel_run =>
+        crossfire_matches_the_channel_run, TransportKind::Tcp;
+    reactor_crossfire_calls_match_the_channel_run =>
+        crossfire_matches_the_channel_run, TransportKind::Reactor;
+    lossy_crossfire_calls_match_the_channel_run =>
+        crossfire_matches_the_channel_run, TransportKind::Lossy;
 }
